@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/relay.hpp"
+#include "core/relay_pipeline.hpp"
 
 using namespace alpha;
 using namespace alpha::bench;
@@ -23,10 +23,9 @@ std::size_t relay_bytes_for_flows(std::size_t flows, wire::Mode mode) {
   config.batch_size = 16;
   config.chain_length = 128;
 
-  core::RelayEngine::Callbacks cb;
-  cb.forward = [](core::Direction, crypto::ByteView) {};
-  core::RelayEngine relay{config, core::RelayEngine::Options{},
-                          std::move(cb)};
+  core::RelayPipeline relay{config, core::RelayEngine::Options{},
+                            core::RelayPipeline::Callbacks{},
+                            /*batch_capacity=*/1};
 
   crypto::HmacDrbg rng{77};
   for (std::size_t f = 0; f < flows; ++f) {
@@ -44,7 +43,7 @@ std::size_t relay_bytes_for_flows(std::size_t flows, wire::Mode mode) {
     hs.sig_anchor_index = 128;
     hs.ack_anchor = ack.anchor();
     hs.ack_anchor_index = 128;
-    relay.on_frame(core::Direction::kForward, hs.encode());
+    relay.enqueue(core::Direction::kForward, hs.encode());
 
     // One pending 16-message round per flow.
     std::vector<crypto::Bytes> frames;
@@ -53,7 +52,7 @@ std::size_t relay_bytes_for_flows(std::size_t flows, wire::Mode mode) {
     core::SignerEngine signer{config, assoc, sig, ack.anchor(), 128,
                               std::move(scb)};
     for (int i = 0; i < 16; ++i) signer.submit(crypto::Bytes(1000, 0x42), 0);
-    relay.on_frame(core::Direction::kForward, frames.at(0));  // the S1
+    relay.enqueue(core::Direction::kForward, frames.at(0));  // the S1
   }
   return relay.buffered_bytes();
 }

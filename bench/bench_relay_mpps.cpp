@@ -5,10 +5,11 @@
 //  * mpps sweep (single core) -- pre-records authentic ALPHA-C traffic
 //    (engine-generated S1/A1/S2 rounds, round-robin interleaved across the
 //    associations to defeat cache locality), then replays the identical
-//    schedule through the scalar RelayEngine and through RelayPipeline at
-//    several flush sizes, timing verify-and-forward wall clock. Generation
-//    is outside the timed window; the replay is single-threaded, so the
-//    rates are per core. The batched/scalar margin is recorded per row.
+//    schedule through the reference RelayEngine (the "scalar" rows; the
+//    runtime itself never runs it) and through RelayPipeline at several
+//    flush sizes, timing verify-and-forward wall clock. Generation is
+//    outside the timed window; the replay is single-threaded, so the rates
+//    are per core. The batched/reference margin is recorded per row.
 //
 //  * worker sweep -- a ShardedNode relay between two end nodes on real UDP
 //    loopback, relay bindings sharded by assoc id across 1/2/4 workers.
@@ -177,7 +178,7 @@ std::vector<Item> build_schedule(const std::vector<AssocTraffic>& assocs,
 
 struct MppsRow {
   std::size_t assocs = 0;
-  std::size_t batch = 0;  // 0 = scalar RelayEngine
+  std::size_t batch = 0;  // 0 = reference RelayEngine
   std::size_t frames = 0;
   std::uint64_t forwarded = 0;
   std::uint64_t dropped = 0;
@@ -342,8 +343,8 @@ WorkerRow run_worker_sweep(std::uint32_t relay_workers, std::size_t assocs,
   row.relay_fwd_per_s =
       row.wall_s > 0 ? static_cast<double>(row.relay_forwarded) / row.wall_s
                      : 0;
-  // quantile() returns NaN on an empty histogram (scalar relays do not
-  // record batch timings); 0 keeps the JSON artifact numeric.
+  // quantile() returns NaN on an empty histogram (no flush recorded a
+  // timing); 0 keeps the JSON artifact numeric.
   row.verify_batch_p50_ns = snap.relay.verify_batch_ns.count() > 0
                                 ? snap.relay.verify_batch_ns.quantile(0.5)
                                 : 0.0;

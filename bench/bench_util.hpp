@@ -14,14 +14,16 @@
 #include <string_view>
 
 #include "core/host.hpp"
-#include "core/relay.hpp"
+#include "core/relay_pipeline.hpp"
 #include "core/signer.hpp"
 #include "core/verifier.hpp"
 
 namespace alpha::bench {
 
 /// Queued-frame loopback connecting one signer, one verifier and one relay
-/// in between -- the measurement fixture for Tables 1-3.
+/// in between -- the measurement fixture for Tables 1-3. The relay is the
+/// runtime's RelayPipeline flushing every frame, so it has seen each frame
+/// before the destination does.
 class TriadFixture {
  public:
   explicit TriadFixture(core::Config config, std::uint64_t seed = 1)
@@ -51,9 +53,8 @@ class TriadFixture {
                       sig_chain_.length(), std::move(vcb), rng_);
 
     // Relay learns anchors via a synthetic handshake pair.
-    core::RelayEngine::Callbacks rcb;
-    rcb.forward = [](core::Direction, crypto::ByteView) {};
-    relay_.emplace(config_, core::RelayEngine::Options{}, std::move(rcb));
+    relay_.emplace(config_, core::RelayEngine::Options{},
+                   core::RelayPipeline::Callbacks{}, /*batch_capacity=*/1);
     wire::HandshakePacket hs1;
     hs1.hdr = {1, 0};
     hs1.algo = config_.algo;
@@ -62,10 +63,10 @@ class TriadFixture {
     hs1.sig_anchor_index = static_cast<std::uint32_t>(sig_chain_.length());
     hs1.ack_anchor = ack_chain_.anchor();  // unused flow, but must be valid
     hs1.ack_anchor_index = static_cast<std::uint32_t>(ack_chain_.length());
-    relay_->on_frame(core::Direction::kForward, hs1.encode());
+    relay_->enqueue(core::Direction::kForward, hs1.encode());
     wire::HandshakePacket hs2 = hs1;
     hs2.is_response = true;
-    relay_->on_frame(core::Direction::kReverse, hs2.encode());
+    relay_->enqueue(core::Direction::kReverse, hs2.encode());
   }
 
   /// Pumps queued frames through relay + destination until quiescent.
@@ -73,9 +74,9 @@ class TriadFixture {
     while (!queue_.empty()) {
       auto [dir, frame] = std::move(queue_.front());
       queue_.pop_front();
-      relay_->on_frame(dir == kTowardVerifier ? core::Direction::kForward
-                                              : core::Direction::kReverse,
-                       frame);
+      relay_->enqueue(dir == kTowardVerifier ? core::Direction::kForward
+                                             : core::Direction::kReverse,
+                      frame);
       const auto packet = wire::decode(frame);
       if (!packet.has_value()) continue;
       if (dir == kTowardVerifier) {
@@ -102,9 +103,9 @@ class TriadFixture {
       auto [dir, frame] = std::move(queue_.front());
       queue_.pop_front();
       if (wire::peek_type(frame) == wire::PacketType::kA1) continue;
-      relay_->on_frame(dir == kTowardVerifier ? core::Direction::kForward
-                                              : core::Direction::kReverse,
-                       frame);
+      relay_->enqueue(dir == kTowardVerifier ? core::Direction::kForward
+                                             : core::Direction::kReverse,
+                      frame);
       if (dir == kTowardVerifier) {
         const auto packet = wire::decode(frame);
         if (const auto* s1 = std::get_if<wire::S1Packet>(&*packet)) {
@@ -116,7 +117,7 @@ class TriadFixture {
 
   core::SignerEngine& signer() { return *signer_; }
   core::VerifierEngine& verifier() { return *verifier_; }
-  core::RelayEngine& relay() { return *relay_; }
+  core::RelayPipeline& relay() { return *relay_; }
   std::size_t delivered() const { return delivered_; }
   crypto::HmacDrbg& rng() { return rng_; }
 
@@ -131,7 +132,7 @@ class TriadFixture {
   std::deque<std::pair<int, crypto::Bytes>> queue_;
   std::optional<core::SignerEngine> signer_;
   std::optional<core::VerifierEngine> verifier_;
-  std::optional<core::RelayEngine> relay_;
+  std::optional<core::RelayPipeline> relay_;
   std::size_t delivered_ = 0;
 };
 

@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/host.hpp"
-#include "core/relay.hpp"
+#include "core/relay_pipeline.hpp"
 #include "net/network.hpp"
 
 using namespace alpha;
@@ -40,22 +40,29 @@ int main() {
   config.reliable = true;
   config.rto_us = 100 * net::kMillisecond;
 
-  // Relays.
-  auto make_relay = [&](net::NodeId self, std::optional<core::RelayEngine>& r) {
-    core::RelayEngine::Callbacks cb;
-    cb.forward = [&network, self](core::Direction dir,
-                                  crypto::ByteView frame) {
-      network.send(self, dir == core::Direction::kForward ? 3 : 0,
-                   crypto::Bytes(frame.begin(), frame.end()));
+  // Relays: each frame is verified and forwarded as it arrives (batch 1).
+  auto make_relay = [&](net::NodeId self,
+                        std::optional<core::RelayPipeline>& r) {
+    core::RelayPipeline::Callbacks cb;
+    cb.forward_batch = [&network, self](
+                           const core::RelayPipeline::ForwardItem* items,
+                           std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        network.send(self,
+                     items[i].dir == core::Direction::kForward ? 3 : 0,
+                     crypto::Bytes(items[i].frame.begin(),
+                                   items[i].frame.end()));
+      }
     };
-    r.emplace(config, core::RelayEngine::Options{}, std::move(cb));
+    r.emplace(config, core::RelayEngine::Options{}, std::move(cb),
+              /*batch_capacity=*/1);
     network.set_handler(self, [&r](net::NodeId from, crypto::ByteView f) {
-      r->on_frame(from == 0 ? core::Direction::kForward
-                            : core::Direction::kReverse,
-                  f);
+      r->enqueue(from == 0 ? core::Direction::kForward
+                           : core::Direction::kReverse,
+                 f);
     });
   };
-  std::optional<core::RelayEngine> r1, r2;
+  std::optional<core::RelayPipeline> r1, r2;
   make_relay(1, r1);
   make_relay(2, r2);
 

@@ -1,7 +1,7 @@
 // Multi-association node runtime (single-threaded poll-loop shape).
 //
 // The paper's end-hosts and relays each serve one security association;
-// core::Host and core::RelayEngine mirror that. AlphaNode is the scaling
+// core::Host and core::RelayPipeline serve them. AlphaNode is the scaling
 // layer above them: one runtime object that owns many engines, multiplexes
 // every inbound frame by a bounds-checked association-id peek (no full
 // decode on the hot path), spawns responder associations on demand when an
@@ -25,8 +25,11 @@
 // Roles one node can combine:
 //  * end-host associations -- add_initiator() / add_responder(), or
 //    accepted automatically from inbound handshakes (Options::accept_inbound)
-//  * relay bindings -- add_relay(): a RelayEngine verifying-and-forwarding
-//    between two peers, direction derived from the source address
+//  * relay bindings -- add_relay(): a RelayPipeline verifying-and-forwarding
+//    between two peers, direction derived from the source address. The
+//    node has no end-of-drain hook, so its bindings flush every frame
+//    (batch 1): each frame is verified and forwarded inside the transport's
+//    receive callback.
 #pragma once
 
 #include <memory>
@@ -82,11 +85,11 @@ class AlphaNode {
   /// on a single-association relay (§3.5). `assoc_ids` optionally pins
   /// specific associations to this binding when one node relays for
   /// several disjoint paths.
-  RelayEngine& add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
-                         RelayEngine::Options options = {},
-                         ExtractFn on_extracted = nullptr,
-                         std::vector<std::uint32_t> assoc_ids = {}) {
-    return shard_.add_relay(upstream, downstream, std::move(options),
+  RelayPipeline& add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
+                           RelayEngine::Options options = {},
+                           ExtractFn on_extracted = nullptr,
+                           std::vector<std::uint32_t> assoc_ids = {}) {
+    return shard_.add_relay(upstream, downstream, /*batch=*/1, options,
                             std::move(on_extracted), std::move(assoc_ids));
   }
 
@@ -120,7 +123,7 @@ class AlphaNode {
   }
 
   std::size_t relay_count() const noexcept { return shard_.relay_count(); }
-  RelayEngine& relay(std::size_t i) { return shard_.relay(i); }
+  RelayPipeline& relay(std::size_t i) { return shard_.relay(i); }
 
   std::uint64_t now_us() const { return transport_->now_us(); }
   net::Transport& transport() noexcept { return *transport_; }

@@ -4,10 +4,11 @@
 // an AlphaNode per path node -- the initiator Host at one end, the
 // responder at the other, a relay binding on every interior node (paper
 // Fig. 1: signer s, relays r_i, verifier v). Frames travel hop-by-hop;
-// relays verify-and-forward, ends run the full handshake + signature
-// exchange. Retransmissions are driven by each node's timer wheel through
-// the simulator's event queue -- there is no hand-wired tick loop; just run
-// the simulator.
+// relays verify-and-forward (a RelayPipeline flushing every frame, as on
+// any AlphaNode), ends run the full handshake + signature exchange.
+// Retransmissions are driven by each node's timer wheel through the
+// simulator's event queue -- there is no hand-wired tick loop; just run the
+// simulator.
 //
 // This is the setup used by the integration tests, the examples and the
 // latency/attack benches.
@@ -48,7 +49,7 @@ class ProtectedPath {
   Host& initiator() noexcept { return *initiator_; }
   Host& responder() noexcept { return *responder_; }
   std::size_t relay_count() const noexcept { return relays_.size(); }
-  RelayEngine& relay(std::size_t i) { return *relays_.at(i); }
+  RelayPipeline& relay(std::size_t i) { return *relays_.at(i); }
 
   /// Node runtimes along the path (index parallel to the node list).
   std::size_t node_count() const noexcept { return nodes_.size(); }
@@ -72,7 +73,7 @@ class ProtectedPath {
   std::vector<std::unique_ptr<AlphaNode>> nodes_;
   Host* initiator_ = nullptr;
   Host* responder_ = nullptr;
-  std::vector<RelayEngine*> relays_;
+  std::vector<RelayPipeline*> relays_;
   std::vector<crypto::Bytes> at_initiator_;
   std::vector<crypto::Bytes> at_responder_;
   std::vector<std::pair<std::uint64_t, DeliveryStatus>> initiator_deliveries_;

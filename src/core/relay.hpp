@@ -1,4 +1,11 @@
-// Relay-side protocol engine (hop-by-hop authentication).
+// Reference relay engine (hop-by-hop authentication); test-only.
+//
+// This is the straightforward one-frame-at-a-time statement of the relay
+// decision procedure. The runtime never constructs it: every relay binding
+// runs core::RelayPipeline (core/relay_pipeline.hpp). The test suites
+// compare that engine against this one frame for frame, and bench_relay_mpps
+// times this one as its reference row. The shared vocabulary types
+// (Direction, RelayDecision, RelayEngine::Options) live here too.
 //
 // The distinguishing capability of ALPHA (paper §1, §3.1.1): forwarding
 // nodes authenticate traffic in transit. A relay learns both endpoints'

@@ -12,8 +12,8 @@ namespace alpha::core {
 
 namespace {
 
-// Same helper as the scalar engine's: relay-side trace events identify the
-// frame by peeking the header.
+// Same helper as the reference engine's: relay-side trace events identify
+// the frame by peeking the header.
 void emit_relay_event(trace::EventKind kind, crypto::ByteView frame,
                       trace::DropReason reason) {
   if (!trace::enabled()) return;
@@ -590,6 +590,52 @@ RelayDecision RelayPipeline::process_a2(Direction dir,
 
   ++stats_.acks_verified;
   return forward_to_batch(dir, frame);
+}
+
+// ------------------------------------------------------------- memory ----
+// Both counts walk the used rounds with the same per-mode rules as
+// RelayEngine, so the Table 2/3 relay columns read the same from either.
+
+std::size_t RelayPipeline::buffered_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const AssocSlot& assoc : slots_) {
+    const std::size_t h = crypto::digest_size(assoc.algo);
+    for (const Flow& flow : assoc.flows) {
+      for (const Round& round : flow.rounds) {
+        if (!round.used) continue;
+        switch (round.mode) {
+          case Mode::kMerkle:
+            total += h;
+            break;
+          case Mode::kCumulativeMerkle:
+            total += round.merkle_roots.size() * h;
+            break;
+          default:
+            total += round.macs.size() * h;
+            break;
+        }
+      }
+    }
+  }
+  return total;
+}
+
+std::size_t RelayPipeline::ack_buffered_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const AssocSlot& assoc : slots_) {
+    const std::size_t h = crypto::digest_size(assoc.algo);
+    for (const Flow& flow : assoc.flows) {
+      for (const Round& round : flow.rounds) {
+        if (!round.used) continue;
+        if (round.scheme == wire::AckScheme::kPreAck) {
+          total += (round.pre_acks.size() + round.pre_nacks.size()) * h;
+        } else if (round.scheme == wire::AckScheme::kAmt) {
+          total += h;  // only the AMT root
+        }
+      }
+    }
+  }
+  return total;
 }
 
 }  // namespace alpha::core

@@ -1,13 +1,16 @@
-// Batched relay fast path (run-to-completion verify-and-forward).
+// The relay engine: run-to-completion verify-and-forward over batches.
 //
-// RelayEngine (core/relay.hpp) is the reference implementation of the
-// relay decision procedure: one frame in, one wire::decode (which heap-
-// allocates the packet's vectors), one std::map walk to the association,
-// one verdict out. Correct, but a forwarding node at line rate spends most
-// of its cycles in exactly that per-frame overhead, not in the hash checks
-// the paper counts (Table 1 relay column: ~2 hashes per data packet).
+// Every relay binding in the runtime (NodeShard, and through it AlphaNode,
+// ProtectedPath and ShardedNode) is a RelayPipeline. RelayEngine
+// (core/relay.hpp) is the reference implementation of the same decision
+// procedure -- one frame in, one wire::decode (which heap-allocates the
+// packet's vectors), one std::map walk to the association, one verdict out
+// -- kept as the reference the test suites compare this engine against.
+// A forwarding node at line rate would spend most of its cycles in
+// that per-frame overhead, not in the hash checks the paper counts (Table 1
+// relay column: ~2 hashes per data packet).
 //
-// RelayPipeline is the same decision procedure restructured around batches:
+// RelayPipeline restructures the procedure around batches:
 //
 //  * frames are collected into a batch and demuxed in a peek pass that
 //    resolves each frame's association to a slot in a flat, open-addressed
@@ -17,17 +20,21 @@
 //    zero-copy view parser that never touches the heap, and verified
 //    against per-round memoized state: the first S2 of a round pays the
 //    chain walk and the HMAC key schedule (ipad/opad midstates), every
-//    later one re-uses both -- the batch amortizes what the scalar engine
-//    re-derives via cold map lookups;
+//    later one re-uses both;
 //  * surviving frames are emitted as ONE forward_batch callback per flush,
 //    in arrival order, which is what lets the transport layer push them
 //    with a single sendmmsg.
 //
+// A batch capacity of 1 flushes every frame: enqueue() verifies the frame
+// and emits its forward before it returns, which is how bindings without
+// an end-of-drain hook (AlphaNode, ProtectedPath) run it.
+//
 // Equivalence contract: decisions are a pure function of the frame
 // sequence, never of batch boundaries. All verdict state persists across
 // flushes, so chopping one frame sequence into batches of 1 or 1000
-// produces bit-identical decisions to RelayEngine -- asserted by the
-// seeded-chaos equivalence suite (tests/core/relay_pipeline_test.cpp).
+// produces bit-identical decisions, forwards, stats, buffer occupancy and
+// trace events to RelayEngine -- asserted by the seeded-chaos equivalence
+// suite (tests/core/relay_pipeline_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -58,10 +65,13 @@ class RelayPipeline {
   struct Callbacks {
     /// Emits one flush's worth of verified frames, in arrival order; called
     /// once per flush that forwarded anything. Receiving the whole batch at
-    /// once is what lets the transport use one sendmmsg per flush.
+    /// once is what lets the transport use one sendmmsg per flush. It must
+    /// not feed frames back into this pipeline: the items view the batch
+    /// buffers the next enqueue() overwrites.
     std::function<void(const ForwardItem* items, std::size_t count)>
         forward_batch;
-    /// Same contract as RelayEngine::Callbacks::on_extracted.
+    /// Authenticated payload extracted from a forwarded S2 (§3.5 secure
+    /// signaling to middleboxes), reported before the frame's forward.
     std::function<void(std::uint32_t assoc_id, std::uint32_t seq,
                        std::uint16_t msg_index, crypto::ByteView payload)>
         on_extracted;
@@ -72,7 +82,7 @@ class RelayPipeline {
   };
 
   /// `batch_capacity` frames are buffered before a flush triggers
-  /// automatically (clamped to >= 1; 1 degenerates to scalar operation).
+  /// automatically (clamped to >= 1; 1 flushes every frame).
   RelayPipeline(Config config, RelayEngine::Options options,
                 Callbacks callbacks, std::size_t batch_capacity);
 
@@ -87,6 +97,11 @@ class RelayPipeline {
   std::size_t batch_capacity() const noexcept { return batch_capacity_; }
   std::size_t assoc_count() const noexcept { return slots_.size(); }
   const RelayStats& stats() const noexcept { return stats_; }
+
+  /// Buffered bytes across all associations (Table 2 relay column: n*h).
+  std::size_t buffered_bytes() const noexcept;
+  /// Buffered acknowledgment commitments (Table 3 relay column: 2n*h).
+  std::size_t ack_buffered_bytes() const noexcept;
 
  private:
   // Same limits as RelayEngine; decision equivalence depends on them.

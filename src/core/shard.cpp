@@ -77,71 +77,40 @@ bool NodeShard::send_frame(net::PeerAddr peer, crypto::ByteView frame) {
   return send_(peer, crypto::Bytes(frame.begin(), frame.end()));
 }
 
-RelayEngine& NodeShard::add_relay(net::PeerAddr upstream,
-                                  net::PeerAddr downstream,
-                                  RelayEngine::Options options,
-                                  ExtractFn on_extracted,
-                                  std::vector<std::uint32_t> assoc_ids) {
-  auto binding = std::make_unique<RelayBinding>();
-  RelayBinding* raw = binding.get();
-  raw->upstream = upstream;
-  raw->downstream = downstream;
-
-  RelayEngine::Callbacks cb;
-  cb.forward = [this, raw](Direction dir, crypto::ByteView frame) {
-    ++frames_out_;
-    const net::PeerAddr next =
-        dir == Direction::kForward ? raw->downstream : raw->upstream;
-    if (!send_frame(next, frame)) ++send_failures_;
-  };
-  cb.on_extracted = std::move(on_extracted);
-  raw->engine = std::make_unique<RelayEngine>(options_.config, options,
-                                              std::move(cb));
-  for (const std::uint32_t id : assoc_ids) relay_by_assoc_[id] = raw;
-  relays_.push_back(std::move(binding));
-  return *raw->engine;
-}
-
-RelayPipeline& NodeShard::add_relay_pipeline(
-    net::PeerAddr upstream, net::PeerAddr downstream, std::size_t batch,
-    RelayEngine::Options options, ExtractFn on_extracted,
-    std::vector<std::uint32_t> assoc_ids) {
-  auto binding = std::make_unique<RelayBinding>();
-  RelayBinding* raw = binding.get();
-  raw->upstream = upstream;
-  raw->downstream = downstream;
-
+RelayPipeline& NodeShard::add_relay(net::PeerAddr upstream,
+                                    net::PeerAddr downstream,
+                                    std::size_t batch,
+                                    RelayEngine::Options options,
+                                    ExtractFn on_extracted,
+                                    std::vector<std::uint32_t> assoc_ids) {
   RelayPipeline::Callbacks cb;
-  cb.forward_batch = [this, raw](const RelayPipeline::ForwardItem* items,
-                                 std::size_t count) {
+  cb.forward_batch = [this, upstream, downstream](
+                         const RelayPipeline::ForwardItem* items,
+                         std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       ++frames_out_;
-      const net::PeerAddr next = items[i].dir == Direction::kForward
-                                     ? raw->downstream
-                                     : raw->upstream;
+      const net::PeerAddr next =
+          items[i].dir == Direction::kForward ? downstream : upstream;
       if (!send_frame(next, items[i].frame)) ++send_failures_;
     }
   };
   cb.on_extracted = std::move(on_extracted);
-  raw->pipeline = std::make_unique<RelayPipeline>(options_.config, options,
-                                                  std::move(cb), batch);
+  relays_.push_back(std::make_unique<RelayBinding>(RelayBinding{
+      upstream, downstream,
+      RelayPipeline(options_.config, options, std::move(cb), batch)}));
+  RelayBinding* raw = relays_.back().get();
   for (const std::uint32_t id : assoc_ids) relay_by_assoc_[id] = raw;
-  relays_.push_back(std::move(binding));
-  return *raw->pipeline;
+  return raw->pipeline;
 }
 
 void NodeShard::flush_relays() {
-  for (const auto& binding : relays_) {
-    if (binding->pipeline) binding->pipeline->flush();
-  }
+  for (const auto& binding : relays_) binding->pipeline.flush();
   relay_pending_relaxed_.store(0, std::memory_order_relaxed);
 }
 
 std::size_t NodeShard::relay_pending() const noexcept {
   std::size_t n = 0;
-  for (const auto& binding : relays_) {
-    if (binding->pipeline) n += binding->pipeline->pending();
-  }
+  for (const auto& binding : relays_) n += binding->pipeline.pending();
   return n;
 }
 
@@ -193,14 +162,10 @@ void NodeShard::on_frame(net::PeerAddr from, crypto::ByteView frame,
   if (RelayBinding* binding = relay_for(*assoc_id, from)) {
     const Direction dir = from == binding->downstream ? Direction::kReverse
                                                       : Direction::kForward;
-    if (binding->pipeline) {
-      // Batched path: enqueue only; flush_relays() runs at end-of-drain
-      // (or the enqueue itself flushes a full batch).
-      binding->pipeline->enqueue(dir, frame);
-      relay_pending_relaxed_.store(relay_pending(), std::memory_order_relaxed);
-    } else {
-      binding->engine->on_frame(dir, frame);
-    }
+    // Enqueue only; flush_relays() runs at end-of-drain (or the enqueue
+    // itself flushes a full batch -- every frame at batch 1).
+    binding->pipeline.enqueue(dir, frame);
+    relay_pending_relaxed_.store(relay_pending(), std::memory_order_relaxed);
     return;
   }
 
@@ -491,8 +456,7 @@ void NodeShard::snapshot_into(NodeSnapshot& s, bool per_assoc) const {
     }
   }
   for (const auto& binding : relays_) {
-    const RelayStats& r =
-        binding->pipeline ? binding->pipeline->stats() : binding->engine->stats();
+    const RelayStats& r = binding->pipeline.stats();
     s.relay += r;
     s.messages_forged += r.dropped_invalid;
   }

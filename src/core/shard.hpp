@@ -30,7 +30,6 @@
 
 #include "core/adapt.hpp"
 #include "core/host.hpp"
-#include "core/relay.hpp"
 #include "core/relay_pipeline.hpp"
 #include "core/timer_wheel.hpp"
 #include "crypto/random.hpp"
@@ -171,31 +170,25 @@ class NodeShard {
   Host& add_host(std::uint32_t assoc_id, net::PeerAddr peer, bool initiator,
                  const Config& config, const Host::Options& host_options);
 
-  /// Adds a scalar relay binding verifying-and-forwarding between
-  /// `upstream` and `downstream` (see AlphaNode::add_relay). Relay state is
+  /// Adds a relay binding verifying-and-forwarding between `upstream`
+  /// (toward the initiator) and `downstream` (toward the responder); see
+  /// AlphaNode::add_relay for the direction rule. Frames are collected into
+  /// verification batches of up to `batch` frames and emitted through the
+  /// (view-based) send path in one go. Partial batches are flushed by
+  /// flush_relays(), which the sharded drive loops call at end-of-drain, so
+  /// batching adds no idle latency; `batch` 1 flushes every frame inside
+  /// on_frame(), for drivers with no end-of-drain hook. Relay state is
   /// keyed purely by association id, so bindings shard cleanly: ShardedNode
   /// registers one binding per shard, each seeing only the assoc-id slice
   /// the I/O thread routes to that shard.
-  RelayEngine& add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
-                         RelayEngine::Options options,
-                         ExtractFn on_extracted,
-                         std::vector<std::uint32_t> assoc_ids);
+  RelayPipeline& add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
+                           std::size_t batch, RelayEngine::Options options,
+                           ExtractFn on_extracted,
+                           std::vector<std::uint32_t> assoc_ids);
 
-  /// Adds a batched relay binding: same decision procedure, but frames are
-  /// collected into verification batches of up to `batch` frames and
-  /// emitted through the (view-based) send path in one go. Partial batches
-  /// are flushed by flush_relays(), which the drive loops call at
-  /// end-of-drain, so batching adds no idle latency.
-  RelayPipeline& add_relay_pipeline(net::PeerAddr upstream,
-                                    net::PeerAddr downstream,
-                                    std::size_t batch,
-                                    RelayEngine::Options options,
-                                    ExtractFn on_extracted,
-                                    std::vector<std::uint32_t> assoc_ids);
-
-  /// Flushes every batched relay binding's pending frames.
+  /// Flushes every relay binding's pending frames.
   void flush_relays();
-  /// Frames buffered in batched relay bindings, not yet verified.
+  /// Frames buffered in relay bindings, not yet verified.
   std::size_t relay_pending() const noexcept;
   /// Cross-thread mirror of relay_pending() (relaxed; owner-updated).
   std::size_t relay_pending_relaxed() const noexcept {
@@ -233,16 +226,7 @@ class NodeShard {
   }
 
   std::size_t relay_count() const noexcept { return relays_.size(); }
-  RelayEngine& relay(std::size_t i) { return *relays_.at(i)->engine; }
-  /// The batched pipeline of binding `i`, or nullptr if it is scalar.
-  RelayPipeline* relay_pipeline(std::size_t i) {
-    return relays_.at(i)->pipeline.get();
-  }
-  /// Stats of binding `i`, whichever engine flavor backs it.
-  const RelayStats& relay_stats(std::size_t i) const {
-    const RelayBinding& b = *relays_.at(i);
-    return b.pipeline ? b.pipeline->stats() : b.engine->stats();
-  }
+  RelayPipeline& relay(std::size_t i) { return relays_.at(i)->pipeline; }
 
   std::uint32_t index() const noexcept { return index_; }
   std::uint64_t tick_granularity_us() const noexcept {
@@ -290,12 +274,10 @@ class NodeShard {
     std::uint64_t adapt_last_us = 0;
   };
 
-  // Exactly one of engine/pipeline is set per binding.
   struct RelayBinding {
-    std::unique_ptr<RelayEngine> engine;
-    std::unique_ptr<RelayPipeline> pipeline;
     net::PeerAddr upstream = 0;
     net::PeerAddr downstream = 0;
+    RelayPipeline pipeline;
   };
 
   RelayBinding* relay_for(std::uint32_t assoc_id, net::PeerAddr from);

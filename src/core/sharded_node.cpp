@@ -149,14 +149,8 @@ void ShardedNode::add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
     for (const std::uint32_t id : assoc_ids) {
       if (shard_for(id) == i) owned.push_back(id);
     }
-    if (relay_batch > 1) {
-      shards_[i]->node->add_relay_pipeline(upstream, downstream, relay_batch,
-                                           relay_options, on_extracted,
-                                           std::move(owned));
-    } else {
-      shards_[i]->node->add_relay(upstream, downstream, relay_options,
-                                  on_extracted, std::move(owned));
-    }
+    shards_[i]->node->add_relay(upstream, downstream, relay_batch,
+                                relay_options, on_extracted, std::move(owned));
   }
 }
 

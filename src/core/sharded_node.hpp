@@ -54,9 +54,9 @@
 // thread's shard_of() demux routes every frame of an association -- and
 // therefore all of its relay state -- to one owning worker. N workers
 // verify-and-forward concurrently with zero shared state; forwarded frames
-// ride the same out-rings and sendmmsg batches as host traffic. Bindings
-// default to the batched RelayPipeline (relay_batch > 1), falling back to
-// the scalar RelayEngine for batch <= 1.
+// ride the same out-rings and sendmmsg batches as host traffic. Every
+// binding is a RelayPipeline; relay_batch is only its flush size (1 flushes
+// every frame, the default 32 flushes at end-of-drain or when full).
 #pragma once
 
 #include <atomic>
@@ -128,8 +128,8 @@ class ShardedNode {
   /// Adds a relay binding between `upstream` and `downstream` to every
   /// shard; each shard's binding is registered for the slice of `assoc_ids`
   /// that hashes to it, so ownership matches the I/O thread's routing.
-  /// `relay_batch` > 1 selects the batched RelayPipeline with that flush
-  /// size; <= 1 selects the scalar RelayEngine. Only before the workers
+  /// `relay_batch` is the RelayPipeline flush size (1 flushes every frame;
+  /// larger batches also flush at end-of-drain). Only before the workers
   /// launch (throws std::logic_error after).
   void add_relay(net::PeerAddr upstream, net::PeerAddr downstream,
                  std::vector<std::uint32_t> assoc_ids,

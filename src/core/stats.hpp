@@ -63,9 +63,9 @@ struct RelayStats {
   // coarse counters stay scrape-compatible while the taxonomy explains each
   // one (exported as alpha_relay_dropped_total{reason=...}).
   std::uint64_t dropped_by_reason[trace::kDropReasonCount] = {};
-  // Verify-and-forward wall time, recorded per flush batch by the batched
-  // pipeline (scalar relays leave it empty: they are not instrumented, two
-  // clock reads per frame would dominate the ns-scale MAC check).
+  // Verify-and-forward wall time, recorded per flush by RelayPipeline (a
+  // batch-1 binding records one sample per frame; the reference RelayEngine
+  // is not instrumented and leaves it empty).
   metrics::Histogram verify_batch_ns;     // ns per flushed batch
   std::uint64_t verify_batch_frames = 0;  // frames covered by those batches
 };

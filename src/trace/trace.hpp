@@ -12,7 +12,7 @@
 // plus one kNetDuplicated per injected extra copy), and the protocol layer
 // emits accept/drop events with a DropReason explaining why a frame died.
 //
-// Engines without a clock parameter (VerifierEngine, RelayEngine) stamp
+// Engines without a clock parameter (VerifierEngine, RelayPipeline) stamp
 // events from a thread-local context set by the node runtime at its entry
 // points (ScopedContext); the simulated network stamps its own events with
 // simulator time. The sink itself is thread-local too: every thread traces

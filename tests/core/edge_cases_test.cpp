@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/host.hpp"
-#include "core/relay.hpp"
 #include "core/signer.hpp"
 #include "core/verifier.hpp"
+#include "relay_under_test.hpp"
 #include "test_bus.hpp"
 
 namespace alpha::core {
@@ -190,21 +190,35 @@ TEST(EdgeCaseTest, DuplicateHs1GetsIdempotentHs2) {
 }
 
 TEST(EdgeCaseTest, RelaySurvivesRandomGarbageFrames) {
+  // Same garbage into the reference engine and into the runtime's pipeline
+  // (flushing every frame, and batching 8): identical verdicts, all drops.
   Config config;
-  RelayEngine::Callbacks cb;
-  cb.forward = [](Direction, ByteView) {};
-  RelayEngine relay{config, RelayEngine::Options{}, std::move(cb)};
-  HmacDrbg rng{0xf422u};
-  for (int i = 0; i < 3000; ++i) {
-    const Bytes junk = rng.bytes(rng.uniform(200));
-    (void)relay.on_frame(i % 2 == 0 ? Direction::kForward
-                                    : Direction::kReverse,
-                         junk);
+  std::vector<RelayDecision> reference_decisions;
+  for (const auto& [kind, batch] :
+       {std::pair{testing::RelayKind::kReference, std::size_t{1}},
+        std::pair{testing::RelayKind::kPipeline, std::size_t{1}},
+        std::pair{testing::RelayKind::kPipeline, std::size_t{8}}}) {
+    SCOPED_TRACE(std::string(testing::relay_kind_name(kind)) +
+                 " batch=" + std::to_string(batch));
+    testing::RelayUnderTest relay{kind, config, RelayEngine::Options{},
+                                  [](Direction, ByteView) {}, {}, batch};
+    HmacDrbg rng{0xf422u};
+    for (int i = 0; i < 3000; ++i) {
+      const Bytes junk = rng.bytes(rng.uniform(200));
+      relay.feed(i % 2 == 0 ? Direction::kForward : Direction::kReverse,
+                 junk);
+    }
+    relay.flush();
+    // Every frame accounted for, none forwarded blindly.
+    const auto& stats = relay.stats();
+    EXPECT_EQ(stats.forwarded, 0u);
+    EXPECT_EQ(stats.dropped_invalid + stats.dropped_unsolicited, 3000u);
+    if (kind == testing::RelayKind::kReference) {
+      reference_decisions = relay.decisions();
+    } else {
+      EXPECT_EQ(relay.decisions(), reference_decisions);
+    }
   }
-  // Every frame accounted for, none forwarded blindly.
-  const auto& stats = relay.stats();
-  EXPECT_EQ(stats.forwarded, 0u);
-  EXPECT_EQ(stats.dropped_invalid + stats.dropped_unsolicited, 3000u);
 }
 
 TEST(EdgeCaseTest, A2ReplayDoesNotDoubleSettle) {

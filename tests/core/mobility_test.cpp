@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/host.hpp"
-#include "core/relay.hpp"
+#include "core/relay_pipeline.hpp"
 #include "test_bus.hpp"
 
 namespace alpha::core {
@@ -24,13 +24,17 @@ Bytes msg(const std::string& s) { return Bytes(s.begin(), s.end()); }
 struct MobileScenario {
   MobileScenario() : rng_a(1), rng_b(2) {
     // Two candidate relays; `via_r2` selects the active route.
-    auto make_relay = [this](std::optional<RelayEngine>& relay) {
-      RelayEngine::Callbacks cb;
-      cb.forward = [this](Direction dir, ByteView frame) {
-        bus.sender(dir == Direction::kForward ? 1 : 0)(
-            Bytes(frame.begin(), frame.end()));
+    auto make_relay = [this](std::optional<RelayPipeline>& relay) {
+      RelayPipeline::Callbacks cb;
+      cb.forward_batch = [this](const RelayPipeline::ForwardItem* items,
+                                std::size_t count) {
+        for (std::size_t i = 0; i < count; ++i) {
+          bus.sender(items[i].dir == Direction::kForward ? 1 : 0)(
+              Bytes(items[i].frame.begin(), items[i].frame.end()));
+        }
       };
-      relay.emplace(Config{}, RelayEngine::Options{}, std::move(cb));
+      relay.emplace(Config{}, RelayEngine::Options{}, std::move(cb),
+                    /*batch_capacity=*/1);
     };
     make_relay(r1);
     make_relay(r2);
@@ -54,16 +58,16 @@ struct MobileScenario {
     bus.attach(0, [this](ByteView f) { a->on_frame(f, now); });
     bus.attach(1, [this](ByteView f) { b->on_frame(f, now); });
     bus.attach(10, [this](ByteView f) {
-      (via_r2 ? *r2 : *r1).on_frame(Direction::kForward, f);
+      (via_r2 ? *r2 : *r1).enqueue(Direction::kForward, f);
     });
     bus.attach(11, [this](ByteView f) {
-      (via_r2 ? *r2 : *r1).on_frame(Direction::kReverse, f);
+      (via_r2 ? *r2 : *r1).enqueue(Direction::kReverse, f);
     });
   }
 
   HmacDrbg rng_a, rng_b;
   PacketBus bus;
-  std::optional<RelayEngine> r1, r2;
+  std::optional<RelayPipeline> r1, r2;
   std::optional<Host> a, b;
   bool via_r2 = false;
   std::uint64_t now = 0;

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/host.hpp"
-#include "core/relay.hpp"
+#include "core/relay_pipeline.hpp"
 #include "test_bus.hpp"
 
 namespace alpha::core {
@@ -18,18 +18,26 @@ Bytes msg(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 struct TwoAssociations {
   TwoAssociations() : rng_a1(1), rng_b1(2), rng_a2(3), rng_b2(4) {
-    RelayEngine::Callbacks r_cb;
-    r_cb.forward = [this](Direction dir, ByteView frame) {
-      // Route by association id: assoc 1 terminates at endpoints 0/1,
-      // assoc 2 at endpoints 2/3.
-      const auto hdr = wire::peek_header(frame);
-      ASSERT_TRUE(hdr.has_value());
-      const bool first = hdr->assoc_id == 1;
-      const int dest = dir == Direction::kForward ? (first ? 1 : 3)
-                                                  : (first ? 0 : 2);
-      bus.sender(dest)(Bytes(frame.begin(), frame.end()));
+    RelayPipeline::Callbacks r_cb;
+    r_cb.forward_batch = [this](const RelayPipeline::ForwardItem* items,
+                                std::size_t count) {
+      for (std::size_t i = 0; i < count; ++i) {
+        // Route by association id: assoc 1 terminates at endpoints 0/1,
+        // assoc 2 at endpoints 2/3.
+        const auto hdr = wire::peek_header(items[i].frame);
+        ASSERT_TRUE(hdr.has_value());
+        const bool first = hdr->assoc_id == 1;
+        const int dest = items[i].dir == Direction::kForward
+                             ? (first ? 1 : 3)
+                             : (first ? 0 : 2);
+        bus.sender(dest)(Bytes(items[i].frame.begin(), items[i].frame.end()));
+      }
     };
-    relay.emplace(Config{}, RelayEngine::Options{}, std::move(r_cb));
+    r_cb.on_decision = [this](RelayDecision d, Direction, ByteView) {
+      decisions.push_back(d);
+    };
+    relay.emplace(Config{}, RelayEngine::Options{}, std::move(r_cb),
+                  /*batch_capacity=*/1);
 
     auto wire_host = [this](std::optional<Host>& host, std::uint32_t assoc,
                             bool initiator, HmacDrbg& rng, int relay_in,
@@ -55,16 +63,17 @@ struct TwoAssociations {
     bus.attach(2, [this](ByteView f) { a2->on_frame(f, 0); });
     bus.attach(3, [this](ByteView f) { b2->on_frame(f, 0); });
     bus.attach(10, [this](ByteView f) {
-      relay->on_frame(Direction::kForward, f);
+      relay->enqueue(Direction::kForward, f);
     });
     bus.attach(11, [this](ByteView f) {
-      relay->on_frame(Direction::kReverse, f);
+      relay->enqueue(Direction::kReverse, f);
     });
   }
 
   HmacDrbg rng_a1, rng_b1, rng_a2, rng_b2;
   PacketBus bus;
-  std::optional<RelayEngine> relay;
+  std::optional<RelayPipeline> relay;
+  std::vector<RelayDecision> decisions;  // one per frame, arrival order
   std::optional<Host> a1, b1, a2, b2;
   std::vector<Bytes> at_b1, at_b2;
 };
@@ -133,9 +142,8 @@ TEST(MultiAssocTest, CrossAssociationReplayRejected) {
 
   auto cross = std::get<wire::S1Packet>(*wire::decode(s1_frame));
   cross.hdr.assoc_id = 2;
-  const auto decision =
-      t.relay->on_frame(Direction::kForward, cross.encode());
-  EXPECT_EQ(decision, RelayDecision::kDroppedInvalid);
+  t.relay->enqueue(Direction::kForward, cross.encode());
+  EXPECT_EQ(t.decisions.back(), RelayDecision::kDroppedInvalid);
 }
 
 TEST(MultiAssocTest, OneAssociationRefusingDoesNotAffectTheOther) {

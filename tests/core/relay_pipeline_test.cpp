@@ -1,24 +1,28 @@
 // RelayPipeline equivalence suite: the batched fast path must make
-// bit-identical decisions to the scalar RelayEngine for ANY chop of ANY
+// bit-identical decisions to the reference RelayEngine for ANY chop of ANY
 // frame sequence into batches -- including under seeded chaos (duplicates,
 // CRC corruption, resealed tampering, reordering, burst loss).
 //
 // Method: record an authentic traffic trace from two real Hosts, mutate it
 // with a seeded chaos schedule, then feed the identical mutated sequence to
-// (a) the scalar engine and (b) pipelines at several batch sizes, and
+// (a) the reference engine and (b) pipelines at several batch sizes, and
 // compare everything observable: the per-frame decision sequence, the
-// forwarded frame sequence (bytes and direction), extracted payloads, and
-// the full stats block including the per-reason drop taxonomy and hash
-// counters.
+// forwarded frame sequence (bytes and direction), extracted payloads, the
+// full stats block including the per-reason drop taxonomy and hash
+// counters, the buffered pre-signature and ack-commitment bytes left
+// behind, and the relay trace events each run emits (which is all a flight
+// recording sees of a relay).
 #include "core/relay_pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <random>
+#include <tuple>
 
 #include "core/host.hpp"
 #include "core/relay.hpp"
+#include "test_bus.hpp"
 
 namespace alpha::core {
 namespace {
@@ -31,11 +35,14 @@ struct ScheduledFrame {
   Bytes frame;
 };
 
-/// Records the full frame trace of `messages` reliable rounds between two
-/// directly-wired Hosts (handshake included). Deterministic per seed.
+/// Records the full frame trace of `messages` rounds between two
+/// directly-wired Hosts (handshake included). With `rekey_after` >= 0 the
+/// initiator rotates its chains after that many messages, so the trace
+/// carries a second handshake with fresh anchors. Deterministic per seed.
 std::vector<ScheduledFrame> record_traffic(const Config& config,
                                            int messages,
-                                           std::uint64_t seed) {
+                                           std::uint64_t seed,
+                                           int rekey_after = -1) {
   std::vector<ScheduledFrame> trace;
   std::deque<ScheduledFrame> queue;
   crypto::HmacDrbg rng_a(seed), rng_b(seed + 1);
@@ -67,26 +74,16 @@ std::vector<ScheduledFrame> record_traffic(const Config& config,
   pump();
   EXPECT_TRUE(a->established());
   for (int i = 0; i < messages; ++i) {
+    if (i == rekey_after) {
+      EXPECT_TRUE(a->force_rekey(0));
+      pump();
+    }
     a->submit(Bytes{static_cast<std::uint8_t>(i), 0xaa, 0x55,
                     static_cast<std::uint8_t>(i >> 8)},
               0);
     pump();
   }
   return trace;
-}
-
-/// Reseals a frame after tampering so the CRC passes and the corruption
-/// reaches the authentication checks instead of the checksum.
-Bytes reseal(Bytes frame) {
-  if (frame.size() <= wire::kFrameChecksumSize) return frame;
-  const std::size_t body = frame.size() - wire::kFrameChecksumSize;
-  const std::uint32_t crc =
-      wire::frame_checksum(ByteView{frame.data(), body});
-  frame[body + 0] = static_cast<std::uint8_t>(crc >> 24);
-  frame[body + 1] = static_cast<std::uint8_t>(crc >> 16);
-  frame[body + 2] = static_cast<std::uint8_t>(crc >> 8);
-  frame[body + 3] = static_cast<std::uint8_t>(crc);
-  return frame;
 }
 
 struct Chaos {
@@ -118,9 +115,8 @@ std::vector<ScheduledFrame> mutate(const std::vector<ScheduledFrame>& trace,
       f.frame[rng() % f.frame.size()] ^= 0xff;
     }
     if (!f.frame.empty() && coin(rng) < chaos.corrupt_seal) {
-      Bytes tampered = f.frame;
-      tampered[rng() % tampered.size()] ^= 0x01;
-      f.frame = reseal(std::move(tampered));
+      f.frame[rng() % f.frame.size()] ^= 0x01;
+      testing::reseal(f.frame);
     }
     if (coin(rng) < chaos.reorder && i + 1 < trace.size()) {
       out.push_back(trace[i + 1]);
@@ -132,12 +128,44 @@ std::vector<ScheduledFrame> mutate(const std::vector<ScheduledFrame>& trace,
   return out;
 }
 
+/// One relay trace event as a flight recording keys it:
+/// (kind, assoc, seq, packet type, drop reason).
+using RelayEvent = std::tuple<std::uint8_t, std::uint32_t, std::uint32_t,
+                              std::uint8_t, std::uint8_t>;
+
+/// Routes this thread's trace events into a private ring for one run.
+class TraceCapture {
+ public:
+  TraceCapture() : previous_(trace::sink()) { trace::install(&ring_); }
+  ~TraceCapture() { trace::install(previous_); }
+  TraceCapture(const TraceCapture&) = delete;
+  TraceCapture& operator=(const TraceCapture&) = delete;
+
+  std::vector<RelayEvent> events() const {
+    EXPECT_EQ(ring_.dropped(), 0u) << "trace ring too small for the run";
+    std::vector<RelayEvent> out;
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      const trace::Event& e = ring_.at(i);
+      out.emplace_back(static_cast<std::uint8_t>(e.kind), e.assoc_id, e.seq,
+                       e.packet_type, static_cast<std::uint8_t>(e.reason));
+    }
+    return out;
+  }
+
+ private:
+  trace::Ring ring_{1 << 14};
+  trace::Ring* previous_;
+};
+
 /// Everything observable about a relay run, for exact comparison.
 struct Observed {
   std::vector<std::uint8_t> decisions;
   std::vector<Bytes> forwarded;  // direction byte + frame bytes
   std::vector<Bytes> extracted;
   RelayStats stats;
+  std::size_t buffered_bytes = 0;
+  std::size_t ack_buffered_bytes = 0;
+  std::vector<RelayEvent> events;
 };
 
 Bytes tag(Direction dir, ByteView frame) {
@@ -148,7 +176,7 @@ Bytes tag(Direction dir, ByteView frame) {
   return b;
 }
 
-Observed run_scalar(const Config& config, RelayEngine::Options options,
+Observed run_reference(const Config& config, RelayEngine::Options options,
                     const std::vector<ScheduledFrame>& schedule) {
   Observed obs;
   RelayEngine::Callbacks cb;
@@ -160,11 +188,15 @@ Observed run_scalar(const Config& config, RelayEngine::Options options,
     obs.extracted.emplace_back(payload.begin(), payload.end());
   };
   RelayEngine relay(config, options, std::move(cb));
+  const TraceCapture capture;
   for (const auto& f : schedule) {
     obs.decisions.push_back(
         static_cast<std::uint8_t>(relay.on_frame(f.dir, f.frame)));
   }
   obs.stats = relay.stats();
+  obs.buffered_bytes = relay.buffered_bytes();
+  obs.ack_buffered_bytes = relay.ack_buffered_bytes();
+  obs.events = capture.events();
   return obs;
 }
 
@@ -187,43 +219,52 @@ Observed run_batched(const Config& config, RelayEngine::Options options,
     obs.decisions.push_back(static_cast<std::uint8_t>(d));
   };
   RelayPipeline pipe(config, options, std::move(cb), batch);
+  const TraceCapture capture;
   for (const auto& f : schedule) pipe.enqueue(f.dir, f.frame);
   pipe.flush();
   EXPECT_EQ(pipe.pending(), 0u);
   obs.stats = pipe.stats();
+  obs.buffered_bytes = pipe.buffered_bytes();
+  obs.ack_buffered_bytes = pipe.ack_buffered_bytes();
+  obs.events = capture.events();
   return obs;
 }
 
-void expect_equal(const Observed& scalar, const Observed& batched,
+void expect_equal(const Observed& reference, const Observed& batched,
                   std::size_t batch) {
   SCOPED_TRACE("batch=" + std::to_string(batch));
-  EXPECT_EQ(scalar.decisions, batched.decisions);
-  EXPECT_EQ(scalar.forwarded, batched.forwarded);
-  EXPECT_EQ(scalar.extracted, batched.extracted);
-  EXPECT_EQ(scalar.stats.forwarded, batched.stats.forwarded);
-  EXPECT_EQ(scalar.stats.dropped_invalid, batched.stats.dropped_invalid);
-  EXPECT_EQ(scalar.stats.dropped_unsolicited,
+  EXPECT_EQ(reference.decisions, batched.decisions);
+  EXPECT_EQ(reference.forwarded, batched.forwarded);
+  EXPECT_EQ(reference.extracted, batched.extracted);
+  EXPECT_EQ(reference.stats.forwarded, batched.stats.forwarded);
+  EXPECT_EQ(reference.stats.dropped_invalid, batched.stats.dropped_invalid);
+  EXPECT_EQ(reference.stats.dropped_unsolicited,
             batched.stats.dropped_unsolicited);
-  EXPECT_EQ(scalar.stats.messages_extracted, batched.stats.messages_extracted);
-  EXPECT_EQ(scalar.stats.acks_verified, batched.stats.acks_verified);
-  EXPECT_EQ(scalar.stats.hashes.signature, batched.stats.hashes.signature);
-  EXPECT_EQ(scalar.stats.hashes.chain_verify,
+  EXPECT_EQ(reference.stats.messages_extracted,
+            batched.stats.messages_extracted);
+  EXPECT_EQ(reference.stats.acks_verified, batched.stats.acks_verified);
+  EXPECT_EQ(reference.stats.hashes.signature, batched.stats.hashes.signature);
+  EXPECT_EQ(reference.stats.hashes.chain_verify,
             batched.stats.hashes.chain_verify);
-  EXPECT_EQ(scalar.stats.hashes.ack, batched.stats.hashes.ack);
+  EXPECT_EQ(reference.stats.hashes.ack, batched.stats.hashes.ack);
   for (std::size_t i = 0; i < trace::kDropReasonCount; ++i) {
-    EXPECT_EQ(scalar.stats.dropped_by_reason[i],
+    EXPECT_EQ(reference.stats.dropped_by_reason[i],
               batched.stats.dropped_by_reason[i])
         << "drop reason " << i;
   }
+  EXPECT_EQ(reference.buffered_bytes, batched.buffered_bytes);
+  EXPECT_EQ(reference.ack_buffered_bytes, batched.ack_buffered_bytes);
+  EXPECT_EQ(reference.events.size(), reference.decisions.size());
+  EXPECT_EQ(reference.events, batched.events);
 }
 
 constexpr std::size_t kBatches[] = {1, 3, 8, 64};
 
 void check_equivalence(const Config& config, RelayEngine::Options options,
                        const std::vector<ScheduledFrame>& schedule) {
-  const Observed scalar = run_scalar(config, options, schedule);
+  const Observed reference = run_reference(config, options, schedule);
   for (const std::size_t batch : kBatches) {
-    expect_equal(scalar, run_batched(config, options, schedule, batch),
+    expect_equal(reference, run_batched(config, options, schedule, batch),
                  batch);
   }
 }
@@ -344,6 +385,20 @@ TEST(RelayPipelineEquivalence, NoHandshakeForwardingMode) {
   check_equivalence(config, options, no_hs);
 }
 
+TEST(RelayPipelineEquivalence, RekeyRetiresBufferedRounds) {
+  // A handshake with fresh anchors retires the flow's buffered rounds; the
+  // rounds recorded before it must stop counting toward buffered_bytes()
+  // even while their storage waits to be recycled.
+  const auto trace = record_traffic(base_config(), 12, /*seed=*/42,
+                                    /*rekey_after=*/10);
+  std::size_t handshakes = 0;
+  for (const auto& f : trace) {
+    if (wire::peek_type(f.frame) == wire::PacketType::kHs1) ++handshakes;
+  }
+  ASSERT_EQ(handshakes, 2u);
+  check_equivalence(base_config(), {}, trace);
+}
+
 TEST(RelayPipelineEquivalence, RoundEvictionUnderReversedS1s) {
   // More in-flight rounds than the per-flow cap, presented newest-first:
   // exercises the emplace-then-evict map semantics, including the case
@@ -375,10 +430,10 @@ TEST(RelayPipelineEquivalence, HandshakeInsideBatch) {
   // demux resolves the early frames to "no association", and pass 2 must
   // still see the association the in-batch handshake created.
   const auto trace = record_traffic(base_config(), 6, /*seed=*/51);
-  const Observed scalar = run_scalar(base_config(), {}, trace);
+  const Observed reference = run_reference(base_config(), {}, trace);
   const Observed one_batch =
       run_batched(base_config(), {}, trace, trace.size());
-  expect_equal(scalar, one_batch, trace.size());
+  expect_equal(reference, one_batch, trace.size());
 }
 
 TEST(RelayPipelineEquivalence, StatePersistsAcrossFlushes) {
@@ -404,8 +459,8 @@ TEST(RelayPipelineEquivalence, StatePersistsAcrossFlushes) {
       pipe.enqueue(trace[i].dir, trace[i].frame);
     }
     pipe.flush();
-    const Observed scalar = run_scalar(config, {}, trace);
-    EXPECT_EQ(scalar.decisions, decisions) << "batch=" << batch;
+    const Observed reference = run_reference(config, {}, trace);
+    EXPECT_EQ(reference.decisions, decisions) << "batch=" << batch;
   }
 }
 
@@ -416,9 +471,9 @@ TEST(RelayPipelineStats, BatchLatencyHistogramFills) {
   pipe.flush();
   EXPECT_GT(pipe.stats().verify_batch_ns.count(), 0u);
   EXPECT_EQ(pipe.stats().verify_batch_frames, trace.size());
-  // Scalar engines leave the latency instrumentation empty by design.
-  RelayEngine scalar(base_config(), {}, {});
-  EXPECT_EQ(scalar.stats().verify_batch_ns.count(), 0u);
+  // The reference engine leaves the latency instrumentation empty by design.
+  RelayEngine reference(base_config(), {}, {});
+  EXPECT_EQ(reference.stats().verify_batch_ns.count(), 0u);
 }
 
 TEST(RelayPipelineStats, DropTaxonomyAttribution) {

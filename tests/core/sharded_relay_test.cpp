@@ -3,11 +3,12 @@
 //
 //  * end-to-end delivery through a multi-worker batched relay, with every
 //    worker owning (and actually relaying) its slice of the associations;
-//  * scalar (relay_batch=1) vs batched (relay_batch=32) bindings produce
-//    identical relay counters on identical traffic -- the sharded analogue
-//    of the RelayPipeline equivalence suite;
+//  * flush-per-frame (relay_batch=1) vs batched (relay_batch=32) bindings
+//    produce identical relay counters on identical traffic -- the sharded
+//    analogue of the RelayPipeline equivalence suite;
 //  * 1-worker vs 4-worker runs agree on the aggregate relay counters;
-//  * seeded chaos (loss + jitter) keeps scalar/batched runs bit-identical;
+//  * seeded chaos (loss + jitter) keeps flush-per-frame and batched runs
+//    bit-identical;
 //  * the relay_pending queue-depth gauge drains to zero at quiescence.
 #include <gtest/gtest.h>
 
@@ -137,8 +138,7 @@ TEST(ShardedRelayTest, DeliversThroughMultiWorkerBatchedRelay) {
   NodeSnapshot snap = triad.relay->snapshot();
   EXPECT_GT(snap.relay.forwarded, 0u);
   EXPECT_EQ(snap.relay.dropped_invalid, 0u);
-  // The batched pipeline instruments its flush latency; scalar relays
-  // would leave this histogram empty.
+  // The pipeline instruments its flush latency.
   EXPECT_GT(snap.relay.verify_batch_ns.count(), 0u);
   EXPECT_GT(snap.relay.verify_batch_frames, 0u);
 
@@ -150,19 +150,19 @@ TEST(ShardedRelayTest, DeliversThroughMultiWorkerBatchedRelay) {
   }
 }
 
-TEST(ShardedRelayTest, ScalarAndBatchedBindingsAgree) {
+TEST(ShardedRelayTest, FlushPerFrameAndBatchedBindingsAgree) {
   const auto ids = assoc_ids(8);
-  RelayTriad scalar(/*relay_workers=*/2, /*relay_batch=*/1, relay_config(),
-                    ids);
+  RelayTriad per_frame(/*relay_workers=*/2, /*relay_batch=*/1, relay_config(),
+                       ids);
   RelayTriad batched(/*relay_workers=*/2, /*relay_batch=*/32, relay_config(),
                      ids);
-  scalar.run(ids);
+  per_frame.run(ids);
   batched.run(ids);
 
-  EXPECT_EQ(scalar.at_b, batched.at_b);
-  EXPECT_EQ(scalar.acked, batched.acked);
+  EXPECT_EQ(per_frame.at_b, batched.at_b);
+  EXPECT_EQ(per_frame.acked, batched.acked);
 
-  const NodeSnapshot s = scalar.relay->snapshot();
+  const NodeSnapshot s = per_frame.relay->snapshot();
   const NodeSnapshot b = batched.relay->snapshot();
   EXPECT_EQ(s.relay.forwarded, b.relay.forwarded);
   EXPECT_EQ(s.relay.dropped_invalid, b.relay.dropped_invalid);
@@ -198,23 +198,23 @@ TEST(ShardedRelayTest, WorkerCountDoesNotChangeRelayDecisions) {
   EXPECT_EQ(s1.relay.messages_extracted, s4.relay.messages_extracted);
 }
 
-TEST(ShardedRelayTest, SeededChaosKeepsScalarAndBatchedIdentical) {
+TEST(ShardedRelayTest, SeededChaosKeepsFlushPerFrameAndBatchedIdentical) {
   const auto ids = assoc_ids(6);
   const std::uint64_t seed = chaos_seed(/*fallback=*/0x51abfeed);
   SeedReporter reporter(seed);
-  RelayTriad scalar(/*relay_workers=*/4, /*relay_batch=*/1, relay_config(),
-                    ids, seed, /*loss=*/0.10);
+  RelayTriad per_frame(/*relay_workers=*/4, /*relay_batch=*/1, relay_config(),
+                       ids, seed, /*loss=*/0.10);
   RelayTriad batched(/*relay_workers=*/4, /*relay_batch=*/64, relay_config(),
                      ids, seed, /*loss=*/0.10);
-  scalar.run(ids);
+  per_frame.run(ids);
   batched.run(ids);
 
   // The batched pipeline flushes within the same virtual instant its frames
   // arrived, so the network-visible schedule -- and therefore the chaos the
   // seed deals out -- is identical: the two runs must match exactly.
-  EXPECT_EQ(scalar.at_b, batched.at_b);
-  EXPECT_EQ(scalar.acked, batched.acked);
-  const NodeSnapshot s = scalar.relay->snapshot();
+  EXPECT_EQ(per_frame.at_b, batched.at_b);
+  EXPECT_EQ(per_frame.acked, batched.acked);
+  const NodeSnapshot s = per_frame.relay->snapshot();
   const NodeSnapshot b = batched.relay->snapshot();
   EXPECT_EQ(s.relay.forwarded, b.relay.forwarded);
   EXPECT_EQ(s.relay.dropped_invalid, b.relay.dropped_invalid);
@@ -224,7 +224,7 @@ TEST(ShardedRelayTest, SeededChaosKeepsScalarAndBatchedIdentical) {
         << "drop reason " << i;
   }
   // Chaos actually happened: at 10% loss some frames were retransmitted.
-  EXPECT_GT(scalar.relay->snapshot().frames_in, ids.size() * 6);
+  EXPECT_GT(per_frame.relay->snapshot().frames_in, ids.size() * 6);
 }
 
 TEST(ShardedRelayTest, AddRelayAfterLaunchThrows) {

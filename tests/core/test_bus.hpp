@@ -23,19 +23,25 @@ namespace alpha::core::testing {
 using alpha::testing::SeedReporter;
 using alpha::testing::chaos_seed;
 
-/// XORs `mask` into the last body byte of an encoded frame and recomputes
-/// the CRC trailer, yielding a wire-valid frame with forged content. Tamper
-/// tests go through here so the corruption reaches the MAC / Merkle layer
-/// instead of dying at the frame checksum (which is what raw bit flips do
-/// now -- see wire::kFrameChecksumSize).
-inline void tamper_and_reseal(crypto::Bytes& frame, std::uint8_t mask = 1) {
+/// Recomputes the CRC trailer of an encoded frame over its current body,
+/// so a tampered frame passes the checksum and the corruption reaches the
+/// parser and the MAC / Merkle layer instead of dying in unseal() (which
+/// is what raw bit flips do -- see wire::kFrameChecksumSize).
+inline void reseal(crypto::Bytes& frame) {
+  if (frame.size() <= wire::kFrameChecksumSize) return;
   const std::size_t body_len = frame.size() - wire::kFrameChecksumSize;
-  frame[body_len - 1] ^= mask;
   const std::uint32_t crc =
       wire::frame_checksum(crypto::ByteView{frame.data(), body_len});
   for (std::size_t i = 0; i < wire::kFrameChecksumSize; ++i) {
     frame[body_len + i] = static_cast<std::uint8_t>(crc >> (24 - 8 * i));
   }
+}
+
+/// XORs `mask` into the last body byte of an encoded frame and reseals it,
+/// yielding a wire-valid frame with forged content.
+inline void tamper_and_reseal(crypto::Bytes& frame, std::uint8_t mask = 1) {
+  frame[frame.size() - wire::kFrameChecksumSize - 1] ^= mask;
+  reseal(frame);
 }
 
 class PacketBus {

@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
                "shard workers for interior relay nodes (>1 runs relays on "
                "the sharded runtime, bindings demuxed by assoc-id hash)");
   flags.define("relay-batch", "1",
-               "relay S2 verification batch size (>1 selects the batched "
-               "RelayPipeline; 1 keeps the scalar RelayEngine)");
+               "relay verification batch size (1 flushes every frame; >1 "
+               "batches on the sharded runtime, flushing at end-of-drain)");
   flags.define("corrupt", "0.0", "per-link frame bit-corruption rate");
   flags.define("dup", "0.0", "per-link frame duplication rate");
   flags.define("reorder", "0.0", "per-link frame reordering rate");
@@ -341,11 +341,12 @@ int main(int argc, char** argv) {
   core::ShardedNode initiator_node{
       std::make_unique<net::SimTransport>(network, 0), init_opts, init_cbs};
 
-  // Interior relay nodes: the scalar AlphaNode relay by default, or -- with
-  // --relay-workers/--relay-batch above 1 -- the sharded runtime with relay
-  // bindings demuxed across workers by assoc-id hash and S2 verification
-  // amortized by the batched RelayPipeline. Association ids are known up
-  // front (1..assocs), which sharded relay bindings require.
+  // Interior relay nodes: an AlphaNode relay flushing every frame by
+  // default, or -- with --relay-workers/--relay-batch above 1 -- the sharded
+  // runtime with relay bindings demuxed across workers by assoc-id hash and
+  // S2 verification amortized over batches. Both run RelayPipeline.
+  // Association ids are known up front (1..assocs), which sharded relay
+  // bindings require.
   const bool sharded_relays = relay_workers > 1 || relay_batch > 1;
   std::vector<std::unique_ptr<core::AlphaNode>> relay_nodes;
   std::vector<std::unique_ptr<core::ShardedNode>> sharded_relay_nodes;
