@@ -71,7 +71,7 @@ FloodResult run(bool alpha_relays, std::size_t flood_frames) {
             .bytes_delivered;
   }
   if (alpha_relays) {
-    result.dropped_at_entry = path.relay(0).stats().dropped_unsolicited;
+    result.dropped_at_entry = path.relay_stats(0).dropped_unsolicited;
   }
   result.legit_delivered = path.delivered_to_responder().size();
   return result;

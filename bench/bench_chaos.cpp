@@ -73,7 +73,7 @@ ChaosResult measure(const net::FaultConfig& faults, double loss,
   std::uint64_t hashes = path.initiator().signer()->stats().hashes.total() +
                          path.responder().verifier()->stats().hashes.total();
   for (std::size_t i = 0; i < path.relay_count(); ++i) {
-    hashes += path.relay(i).stats().hashes.total();
+    hashes += path.relay_stats(i).hashes.total();
   }
 
   ChaosResult result;

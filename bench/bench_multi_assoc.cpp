@@ -1,6 +1,6 @@
 // Node-runtime scalability with concurrent associations.
 //
-// One AlphaNode pair over the deterministic simulator: node A runs N
+// One node-runtime pair (ShardedNode, one shard each) over the deterministic simulator: node A runs N
 // initiator associations, node B accepts every inbound handshake on demand,
 // and all frames share one fat link. Measures what the multi-association
 // runtime adds on top of the engines: establishment throughput, message
@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "net/network.hpp"
 
 using namespace alpha;
@@ -48,21 +48,21 @@ Row run(std::size_t n) {
   config.chain_length = 64;
   config.batch_size = kMessagesPerAssoc;  // one full round per association
 
-  core::AlphaNode::Options a_opts;
-  a_opts.config = config;
-  a_opts.seed = 42;
-  core::AlphaNode node_a{std::make_unique<net::SimTransport>(network, 0),
-                         a_opts};
+  core::ShardedNode::Options a_opts;
+  a_opts.shard.config = config;
+  a_opts.shard.seed = 42;
+  core::ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
+                           a_opts};
 
-  core::AlphaNode::Options b_opts;
-  b_opts.config = config;
-  b_opts.seed = 43;
-  b_opts.accept_inbound = true;
+  core::ShardedNode::Options b_opts;
+  b_opts.shard.config = config;
+  b_opts.shard.seed = 43;
+  b_opts.shard.accept_inbound = true;
   std::size_t delivered = 0;
-  core::AlphaNode::Callbacks b_cbs;
+  core::ShardedNode::Callbacks b_cbs;
   b_cbs.on_message = [&](std::uint32_t, crypto::ByteView) { ++delivered; };
-  core::AlphaNode node_b{std::make_unique<net::SimTransport>(network, 1),
-                         b_opts, b_cbs};
+  core::ShardedNode node_b{std::make_unique<net::SimTransport>(network, 1),
+                           b_opts, b_cbs};
 
   Row row;
   row.assocs = n;

@@ -37,7 +37,7 @@ void s2_flood() {
 
   std::printf("forged frames dropped at first relay: %llu/100\n",
               static_cast<unsigned long long>(
-                  path.relay(0).stats().dropped_unsolicited));
+                  path.relay_stats(0).dropped_unsolicited));
   std::printf("forged bytes that crossed the second hop: 0 (link carried "
               "%llu frames, all protocol traffic)\n",
               static_cast<unsigned long long>(
@@ -68,7 +68,7 @@ void s1_flood() {
   }
   sim.run_until(sim.now() + 2 * net::kSecond);
 
-  const auto& r0 = path.relay(0).stats();
+  const auto r0 = path.relay_stats(0);
   std::printf("forged S1s dropped by the first relay's chain check: %llu\n",
               static_cast<unsigned long long>(r0.dropped_invalid));
   std::printf("A1 responses provoked: %llu (the verifier granted nothing)\n",
@@ -99,7 +99,7 @@ void insider_tamper() {
               path.delivered_to_responder().size());
   std::printf("tampered S2 dropped by the next honest relay: %llu\n",
               static_cast<unsigned long long>(
-                  path.relay(1).stats().dropped_invalid));
+                  path.relay_stats(1).dropped_invalid));
   std::printf("=> with hop-by-hop symmetric keys this modification would be "
               "undetectable (see baselines/hopwise)\n");
 }

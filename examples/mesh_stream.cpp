@@ -36,7 +36,7 @@ void run_mode(wire::Mode mode, const char* name) {
   config.chain_length = 4096;
 
   core::ProtectedPath path{network, nodes, config, 1, 99};
-  path.start(600 * net::kSecond);
+  path.start();
   sim.run_until(net::kSecond);
 
   const std::size_t kChunk = 1200;
@@ -60,12 +60,12 @@ void run_mode(wire::Mode mode, const char* name) {
               static_cast<double>(delivered * kChunk * 8) /
                   (elapsed_s * 1e6));
   for (std::size_t i = 0; i < path.relay_count(); ++i) {
-    const auto& r = path.relay(i).stats();
+    const auto snap = path.node(i + 1).snapshot();  // relay i
     std::printf("  relay %zu: forwarded=%llu verified-payloads=%llu "
                 "buffered-bytes=%zu\n",
-                i, static_cast<unsigned long long>(r.forwarded),
-                static_cast<unsigned long long>(r.messages_extracted),
-                path.relay(i).buffered_bytes());
+                i, static_cast<unsigned long long>(snap.relay.forwarded),
+                static_cast<unsigned long long>(snap.relay.messages_extracted),
+                snap.relay_buffered_bytes);
   }
   std::uint64_t frames = 0, fires = 0;
   for (std::size_t i = 0; i < path.node_count(); ++i) {
@@ -106,7 +106,7 @@ void run_attack() {
 
   std::printf("legit chunks delivered: %zu/40\n",
               path.delivered_to_responder().size());
-  const auto& victim = path.relay(1).stats();  // node 2
+  const auto victim = path.relay_stats(1);  // node 2
   std::printf("relay at injection point: dropped %llu unsolicited frames\n",
               static_cast<unsigned long long>(victim.dropped_unsolicited));
   std::printf("frames on the link beyond the injection point: %llu "

@@ -75,8 +75,8 @@ int main() {
   std::printf("attacker injected \"rate=999999\": limit still %d kbps "
               "(forged frame dropped: %s)\n",
               rate_limit_kbps,
-              path.relay(0).stats().dropped_unsolicited +
-                          path.relay(0).stats().dropped_invalid >
+              path.relay_stats(0).dropped_unsolicited +
+                          path.relay_stats(0).dropped_invalid >
                       0
                   ? "yes"
                   : "no");
@@ -89,9 +89,9 @@ int main() {
               rate_limit_kbps);
   std::printf("relay: %llu authenticated extractions, %llu frames dropped\n",
               static_cast<unsigned long long>(
-                  path.relay(0).stats().messages_extracted),
+                  path.relay_stats(0).messages_extracted),
               static_cast<unsigned long long>(
-                  path.relay(0).stats().dropped_invalid +
-                  path.relay(0).stats().dropped_unsolicited));
+                  path.relay_stats(0).dropped_invalid +
+                  path.relay_stats(0).dropped_unsolicited));
   return rate_limit_kbps == 128 ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // Quickstart: the smallest complete ALPHA session, on the node runtime.
 //
-// Four AlphaNodes on a three-hop simulated path (signer, two relays,
+// Four ShardedNode runtimes on a three-hop simulated path (signer, two relays,
 // verifier), all talking through the Transport abstraction: bootstrap
 // handshake (the verifier end accepts it on demand), one reliable message,
 // and a look at the statistics each runtime collected.
@@ -8,7 +8,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "net/network.hpp"
 
 using namespace alpha;
@@ -28,39 +28,40 @@ int main() {
 
   // One runtime node per network node; each owns a SimTransport bound to
   // its NodeId. The same code would run over UdpTransport unchanged.
-  core::AlphaNode::Options signer_opts;
-  signer_opts.config = config;
-  signer_opts.seed = 2024;
-  core::AlphaNode::Callbacks signer_cbs;
+  core::ShardedNode::Options signer_opts;
+  signer_opts.shard.config = config;
+  signer_opts.shard.seed = 2024;
+  core::ShardedNode::Callbacks signer_cbs;
   std::vector<std::pair<std::uint64_t, core::DeliveryStatus>> deliveries;
   signer_cbs.on_delivery = [&](std::uint32_t, std::uint64_t cookie,
                                core::DeliveryStatus status) {
     deliveries.emplace_back(cookie, status);
   };
-  core::AlphaNode signer{std::make_unique<net::SimTransport>(network, 0),
-                         signer_opts, signer_cbs};
-  signer.add_initiator(/*assoc_id=*/1, /*peer=*/1, config);
+  core::ShardedNode signer{std::make_unique<net::SimTransport>(network, 0),
+                           signer_opts, signer_cbs};
+  core::Host& signer_host =
+      signer.add_initiator(/*assoc_id=*/1, /*peer=*/1, config);
 
-  core::AlphaNode::Options relay_opts;
-  relay_opts.config = config;
-  core::AlphaNode relay1{std::make_unique<net::SimTransport>(network, 1),
-                         relay_opts};
-  relay1.add_relay(/*upstream=*/0, /*downstream=*/2);
-  core::AlphaNode relay2{std::make_unique<net::SimTransport>(network, 2),
-                         relay_opts};
-  relay2.add_relay(/*upstream=*/1, /*downstream=*/3);
+  core::ShardedNode::Options relay_opts;
+  relay_opts.shard.config = config;
+  core::ShardedNode relay1{std::make_unique<net::SimTransport>(network, 1),
+                           relay_opts};
+  relay1.add_relay(/*upstream=*/0, /*downstream=*/2, /*assoc_ids=*/{});
+  core::ShardedNode relay2{std::make_unique<net::SimTransport>(network, 2),
+                           relay_opts};
+  relay2.add_relay(/*upstream=*/1, /*downstream=*/3, /*assoc_ids=*/{});
 
-  core::AlphaNode::Options verifier_opts;
-  verifier_opts.config = config;
-  verifier_opts.seed = 2025;
-  verifier_opts.accept_inbound = true;  // responder spawned by the HS1
-  core::AlphaNode::Callbacks verifier_cbs;
+  core::ShardedNode::Options verifier_opts;
+  verifier_opts.shard.config = config;
+  verifier_opts.shard.seed = 2025;
+  verifier_opts.shard.accept_inbound = true;  // responder spawned by the HS1
+  core::ShardedNode::Callbacks verifier_cbs;
   std::vector<crypto::Bytes> delivered;
   verifier_cbs.on_message = [&](std::uint32_t, crypto::ByteView payload) {
     delivered.emplace_back(payload.begin(), payload.end());
   };
-  core::AlphaNode verifier{std::make_unique<net::SimTransport>(network, 3),
-                           verifier_opts, verifier_cbs};
+  core::ShardedNode verifier{std::make_unique<net::SimTransport>(network, 3),
+                             verifier_opts, verifier_cbs};
 
   std::printf("== ALPHA quickstart ==\n");
   signer.start(1);
@@ -84,7 +85,7 @@ int main() {
                                                        : "not acknowledged");
   }
 
-  const auto& s = signer.host(1)->signer()->stats();
+  const auto& s = signer_host.signer()->stats();
   std::printf("\nsigner:   S1=%llu S2=%llu acks=%llu hash ops: sig=%llu "
               "chain-verify=%llu ack=%llu\n",
               static_cast<unsigned long long>(s.s1_sent),
@@ -93,12 +94,13 @@ int main() {
               static_cast<unsigned long long>(s.hashes.signature),
               static_cast<unsigned long long>(s.hashes.chain_verify),
               static_cast<unsigned long long>(s.hashes.ack));
-  const auto& v = verifier.host(1)->verifier()->stats();
+  // The responder was spawned on demand; its stats come from a snapshot.
+  const auto v = verifier.snapshot(/*per_assoc=*/true).assocs.at(0).verifier;
   std::printf("verifier: delivered=%llu A1=%llu A2=%llu\n",
               static_cast<unsigned long long>(v.messages_delivered),
               static_cast<unsigned long long>(v.a1_sent),
               static_cast<unsigned long long>(v.a2_sent));
-  core::AlphaNode* relay_nodes[] = {&relay1, &relay2};
+  core::ShardedNode* relay_nodes[] = {&relay1, &relay2};
   for (std::size_t i = 0; i < 2; ++i) {
     const auto snap = relay_nodes[i]->snapshot();
     std::printf("relay %zu:  forwarded=%llu extracted=%llu dropped=%llu\n", i,

@@ -41,7 +41,7 @@ int main() {
   config.rto_us = 500 * net::kMillisecond;
 
   core::ProtectedPath path{network, {0, 1, 2, 3}, config, 1, 77};
-  path.start(600 * net::kSecond);
+  path.start();
   sim.run_until(2 * net::kSecond);
   std::printf("bootstrap: %s\n",
               path.initiator().established() ? "established" : "FAILED");
@@ -64,10 +64,10 @@ int main() {
   std::printf("readings delivered: %zu/25, acknowledged: %zu/25\n",
               path.delivered_to_responder().size(), acked);
   for (std::size_t i = 0; i < path.relay_count(); ++i) {
+    const auto snap = path.node(i + 1).snapshot();  // relay i
     std::printf("relay %zu verified %llu payloads, buffered %zu bytes\n", i,
-                static_cast<unsigned long long>(
-                    path.relay(i).stats().messages_extracted),
-                path.relay(i).buffered_bytes());
+                static_cast<unsigned long long>(snap.relay.messages_extracted),
+                snap.relay_buffered_bytes);
   }
 
   // Side-by-side: what the paper's CC2430 cost model predicts for this

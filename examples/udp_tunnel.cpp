@@ -1,10 +1,11 @@
 // ALPHA over real UDP sockets, on the node runtime.
 //
-// The same AlphaNode that runs in the simulator, bound to POSIX datagram
-// sockets on the loopback interface via UdpTransport. The hand-rolled
-// socket pump is gone: poll() drains the socket, fires the timer wheel,
-// and dispatches frames by association id. Node B pre-provisions
-// nothing -- it accepts the inbound handshake on demand.
+// The same node runtime that runs in the simulator, bound to POSIX datagram
+// sockets on the loopback interface via UdpTransport. With workers = 0 the
+// node runs on the thread that calls poll(): poll() drains the socket,
+// fires the timer wheel, and dispatches frames by association id -- so the
+// one thread-local trace ring sees both transport and engine events. Node
+// B pre-provisions nothing -- it accepts the inbound handshake on demand.
 //
 // By default both endpoints run in this process. With --role a / --role b
 // each endpoint runs in its own process -- the pairing for the flight
@@ -28,7 +29,7 @@
 #include <memory>
 #include <string>
 
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "trace/build_info.hpp"
 #include "trace/flight.hpp"
 #include "trace/health.hpp"
@@ -80,41 +81,43 @@ int main(int argc, char** argv) {
   // Origins 1 (A) and 2 (B) keep the two endpoints distinguishable in
   // traces even when both run in one process -- and give the merged
   // cross-process timeline stable node identities.
-  std::unique_ptr<core::AlphaNode> node_a, node_b;
+  std::unique_ptr<core::ShardedNode> node_a, node_b;
   bool done = false;
   std::vector<crypto::Bytes> at_b;
   if (run_a) {
-    core::AlphaNode::Options a_opts;
-    a_opts.config = config;
-    a_opts.seed = 1;
-    a_opts.trace_origin = 1;
-    core::AlphaNode::Callbacks a_cbs;
+    core::ShardedNode::Options a_opts;
+    a_opts.workers = 0;  // caller-thread drive
+    a_opts.shard.config = config;
+    a_opts.shard.seed = 1;
+    a_opts.shard.trace_origin = 1;
+    core::ShardedNode::Callbacks a_cbs;
     a_cbs.on_delivery = [&](std::uint32_t, std::uint64_t,
                             core::DeliveryStatus status) {
       if (status == core::DeliveryStatus::kAcked) done = true;
     };
-    node_a = std::make_unique<core::AlphaNode>(
+    node_a = std::make_unique<core::ShardedNode>(
         std::make_unique<net::UdpTransport>(
             role == "a" ? static_cast<std::uint16_t>(bind_port) : 0),
         a_opts, a_cbs);
   }
   if (run_b) {
-    core::AlphaNode::Options b_opts;
-    b_opts.config = config;
-    b_opts.seed = 2;
-    b_opts.trace_origin = 2;
-    b_opts.accept_inbound = true;
-    core::AlphaNode::Callbacks b_cbs;
+    core::ShardedNode::Options b_opts;
+    b_opts.workers = 0;
+    b_opts.shard.config = config;
+    b_opts.shard.seed = 2;
+    b_opts.shard.trace_origin = 2;
+    b_opts.shard.accept_inbound = true;
+    core::ShardedNode::Callbacks b_cbs;
     b_cbs.on_message = [&](std::uint32_t, crypto::ByteView payload) {
       at_b.emplace_back(payload.begin(), payload.end());
     };
-    node_b = std::make_unique<core::AlphaNode>(
+    node_b = std::make_unique<core::ShardedNode>(
         std::make_unique<net::UdpTransport>(
             static_cast<std::uint16_t>(bind_port)),
         b_opts, b_cbs);
   }
 
-  const auto port = [](core::AlphaNode& n) {
+  const auto port = [](core::ShardedNode& n) {
     return static_cast<net::UdpTransport&>(n.transport()).port();
   };
   if (node_a) std::printf("endpoint A on port %u\n", port(*node_a));
@@ -142,7 +145,7 @@ int main(int argc, char** argv) {
     spans.ingest_new(*ring);
     std::uint64_t frames_in = 0, frames_out = 0;
     std::vector<trace::AssocHealthSample> samples;
-    const auto fold = [&](core::AlphaNode& node, bool sample_assocs) {
+    const auto fold = [&](core::ShardedNode& node, bool sample_assocs) {
       const auto snap = node.snapshot(true);
       frames_in += snap.frames_in;
       frames_out += snap.frames_out;

@@ -20,18 +20,18 @@ ProtectedPath::ProtectedPath(net::Network& network,
     const bool is_initiator_end = i == 0;
     const bool is_responder_end = i + 1 == path_.size();
 
-    AlphaNode::Options opts;
-    opts.config = config;
+    ShardedNode::Options opts;
+    opts.shard.config = config;
     // Seed layout mirrors the pre-runtime wiring: initiator-end chains from
     // `seed`, responder-end from `seed + 1`; relays draw no chain material.
-    opts.seed = is_initiator_end ? seed
-                : is_responder_end ? seed + 1
-                                   : seed + 100 + i;
+    opts.shard.seed = is_initiator_end ? seed
+                      : is_responder_end ? seed + 1
+                                         : seed + 100 + i;
     // Stamp trace events with the simulator node id so a decoded trace can
     // attribute every engine decision to its position on the path.
-    opts.trace_origin = static_cast<std::uint8_t>(path_[i]);
+    opts.shard.trace_origin = static_cast<std::uint8_t>(path_[i]);
 
-    AlphaNode::Callbacks cbs;
+    ShardedNode::Callbacks cbs;
     if (is_initiator_end) {
       cbs.on_message = [this](std::uint32_t, crypto::ByteView payload) {
         at_initiator_.emplace_back(payload.begin(), payload.end());
@@ -46,7 +46,7 @@ ProtectedPath::ProtectedPath(net::Network& network,
       };
     }
 
-    auto node = std::make_unique<AlphaNode>(
+    auto node = std::make_unique<ShardedNode>(
         std::make_unique<net::SimTransport>(network, path_[i]),
         std::move(opts), std::move(cbs));
 
@@ -63,16 +63,20 @@ ProtectedPath::ProtectedPath(net::Network& network,
                                               crypto::ByteView payload) {
         if (extraction_handler_) extraction_handler_(relay_index, payload);
       };
-      relays_.push_back(&node->add_relay(path_[i - 1], path_[i + 1],
-                                         relay_opts, std::move(on_extracted)));
+      node->add_relay(path_[i - 1], path_[i + 1], /*assoc_ids=*/{},
+                      /*relay_batch=*/1, relay_opts, std::move(on_extracted));
     }
     nodes_.push_back(std::move(node));
   }
 }
 
-void ProtectedPath::start(net::SimTime tick_horizon_us) {
-  (void)tick_horizon_us;  // timers are activity-driven now; see header
-  nodes_.front()->start(assoc_id_);
+void ProtectedPath::start() { nodes_.front()->start(assoc_id_); }
+
+RelayStats ProtectedPath::relay_stats(std::size_t i) {
+  if (i >= relay_count()) {
+    throw std::out_of_range("ProtectedPath: no such relay");
+  }
+  return nodes_[i + 1]->snapshot().relay;
 }
 
 }  // namespace alpha::core

@@ -1,14 +1,15 @@
 // Protected path over the simulated network.
 //
 // Convenience binding of the node runtime onto a linear net::Network path:
-// an AlphaNode per path node -- the initiator Host at one end, the
-// responder at the other, a relay binding on every interior node (paper
-// Fig. 1: signer s, relays r_i, verifier v). Frames travel hop-by-hop;
-// relays verify-and-forward (a RelayPipeline flushing every frame, as on
-// any AlphaNode), ends run the full handshake + signature exchange.
-// Retransmissions are driven by each node's timer wheel through the
-// simulator's event queue -- there is no hand-wired tick loop; just run the
-// simulator.
+// a one-shard ShardedNode per path node -- the initiator Host at one end,
+// the responder at the other, a relay binding on every interior node
+// (paper Fig. 1: signer s, relays r_i, verifier v). Frames travel
+// hop-by-hop; relays verify-and-forward (a RelayPipeline flushing every
+// frame), ends run the full handshake + signature exchange. The simulator
+// drives every node inline, so a caller may also drive the end Hosts
+// directly: their frames reach the network synchronously. Retransmissions
+// are driven by each node's timer wheel through the simulator's event
+// queue -- there is no hand-wired tick loop; just run the simulator.
 //
 // This is the setup used by the integration tests, the examples and the
 // latency/attack benches.
@@ -17,7 +18,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "net/network.hpp"
 
 namespace alpha::core {
@@ -33,9 +34,8 @@ class ProtectedPath {
                 RelayEngine::Options relay_opts = RelayEngine::Options{});
 
   /// Sends the HS1. Retransmission timers arm themselves on activity and
-  /// disarm when idle; `tick_horizon_us` is retained for source
-  /// compatibility with the pre-runtime tick loop and ignored.
-  void start(net::SimTime tick_horizon_us = 60 * net::kSecond);
+  /// disarm when idle.
+  void start();
 
   /// Handler invoked whenever a relay securely extracts an authenticated
   /// payload from a forwarded S2 (§3.5 middlebox signaling):
@@ -48,12 +48,13 @@ class ProtectedPath {
 
   Host& initiator() noexcept { return *initiator_; }
   Host& responder() noexcept { return *responder_; }
-  std::size_t relay_count() const noexcept { return relays_.size(); }
-  RelayPipeline& relay(std::size_t i) { return *relays_.at(i); }
+  std::size_t relay_count() const noexcept { return nodes_.size() - 2; }
+  /// Counters of relay `i` (path node i + 1), read through a snapshot.
+  RelayStats relay_stats(std::size_t i);
 
   /// Node runtimes along the path (index parallel to the node list).
   std::size_t node_count() const noexcept { return nodes_.size(); }
-  AlphaNode& node(std::size_t i) { return *nodes_.at(i); }
+  ShardedNode& node(std::size_t i) { return *nodes_.at(i); }
 
   /// Messages delivered to the responder's application.
   const std::vector<crypto::Bytes>& delivered_to_responder() const noexcept {
@@ -70,10 +71,9 @@ class ProtectedPath {
  private:
   std::vector<net::NodeId> path_;
   std::uint32_t assoc_id_;
-  std::vector<std::unique_ptr<AlphaNode>> nodes_;
+  std::vector<std::unique_ptr<ShardedNode>> nodes_;
   Host* initiator_ = nullptr;
   Host* responder_ = nullptr;
-  std::vector<RelayPipeline*> relays_;
   std::vector<crypto::Bytes> at_initiator_;
   std::vector<crypto::Bytes> at_responder_;
   std::vector<std::pair<std::uint64_t, DeliveryStatus>> initiator_deliveries_;

@@ -1,7 +1,7 @@
 // The relay engine: run-to-completion verify-and-forward over batches.
 //
-// Every relay binding in the runtime (NodeShard, and through it AlphaNode,
-// ProtectedPath and ShardedNode) is a RelayPipeline. RelayEngine
+// Every relay binding in the runtime (NodeShard, and through it ShardedNode
+// and ProtectedPath) is a RelayPipeline. RelayEngine
 // (core/relay.hpp) is the reference implementation of the same decision
 // procedure -- one frame in, one wire::decode (which heap-allocates the
 // packet's vectors), one std::map walk to the association, one verdict out
@@ -26,8 +26,9 @@
 //    with a single sendmmsg.
 //
 // A batch capacity of 1 flushes every frame: enqueue() verifies the frame
-// and emits its forward before it returns, which is how bindings without
-// an end-of-drain hook (AlphaNode, ProtectedPath) run it.
+// and emits its forward before it returns. Larger batches flush when full
+// or on flush(), which ShardedNode calls at end-of-drain on its worker
+// threads and after every frame in its inline drive.
 //
 // Equivalence contract: decisions are a pure function of the frame
 // sequence, never of batch boundaries. All verdict state persists across

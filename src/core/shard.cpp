@@ -103,7 +103,10 @@ RelayPipeline& NodeShard::add_relay(net::PeerAddr upstream,
   return raw->pipeline;
 }
 
-void NodeShard::flush_relays() {
+void NodeShard::flush_relays(std::uint64_t now_us) {
+  // Trace events of the flushed frames carry this shard's origin and the
+  // flush time, as they would had their batch filled inside on_frame().
+  const trace::ScopedContext tctx(options_.trace_origin, now_us);
   for (const auto& binding : relays_) binding->pipeline.flush();
   relay_pending_relaxed_.store(0, std::memory_order_relaxed);
 }
@@ -371,24 +374,6 @@ void NodeShard::advance_timers(std::uint64_t now_us) {
   if (wakeup_ && !wheel_.empty()) wakeup_(now_us + tick_granularity_);
 }
 
-Host* NodeShard::host(std::uint32_t assoc_id) noexcept {
-  const auto it = assocs_.find(assoc_id);
-  return it == assocs_.end() ? nullptr : it->second.host.get();
-}
-
-const Host* NodeShard::host(std::uint32_t assoc_id) const noexcept {
-  const auto it = assocs_.find(assoc_id);
-  return it == assocs_.end() ? nullptr : it->second.host.get();
-}
-
-std::size_t NodeShard::established_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [id, entry] : assocs_) {
-    if (entry.host->established()) ++n;
-  }
-  return n;
-}
-
 void NodeShard::snapshot_into(NodeSnapshot& s, bool per_assoc) const {
   s.frames_in += frames_in_;
   s.frames_out += frames_out_;
@@ -458,6 +443,7 @@ void NodeShard::snapshot_into(NodeSnapshot& s, bool per_assoc) const {
   for (const auto& binding : relays_) {
     const RelayStats& r = binding->pipeline.stats();
     s.relay += r;
+    s.relay_buffered_bytes += binding->pipeline.buffered_bytes();
     s.messages_forged += r.dropped_invalid;
   }
 }

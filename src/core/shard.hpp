@@ -1,20 +1,16 @@
 // One shard of the node runtime: a transport-free association container.
 //
-// NodeShard is the demux/timer/bookkeeping core that used to live inside
-// AlphaNode, extracted so the same logic can run in two shapes:
-//
-//  * AlphaNode (core/node.hpp) -- exactly one shard bound directly to a
-//    Transport: the classic single-threaded poll-loop node, API unchanged.
-//  * ShardedNode (core/sharded_node.hpp) -- N shards, each owning a
-//    disjoint assoc-id-hash slice of the associations, fed over SPSC rings
-//    by a dedicated I/O thread (or inline, deterministically, over the
-//    simulator).
+// NodeShard is the demux/timer/bookkeeping core of core::ShardedNode
+// (core/sharded_node.hpp), which runs N of them, each owning a disjoint
+// assoc-id-hash slice of the associations -- on worker threads fed over
+// SPSC rings (threaded drive), or on the caller's thread straight from the
+// transport's receiver (inline drive: the simulator, or workers == 0).
 //
 // A shard owns everything an association needs -- the Host engines, the
 // hashed TimerWheel, the chain-material RNG, per-shard counters -- and
 // touches nothing shared: frames come in through on_frame(), frames go out
 // through an injected SendFn, and timer wakeups are either requested from a
-// scheduler callback (single-threaded drive) or polled via advance_timers()
+// scheduler callback (inline drive) or polled via advance_timers()
 // (worker-thread drive). Strict state locality is what makes the sharded
 // runtime lock-free: two shards never share a byte of mutable state, so the
 // only synchronization in the system is the ring between a shard and the
@@ -101,6 +97,7 @@ struct NodeSnapshot {
   std::uint64_t adapt_switches = 0;      // profile switches decided
   std::uint64_t reconfigs_applied = 0;   // rekey-boundary profile applications
   RelayStats relay;                      // summed over relay bindings
+  std::size_t relay_buffered_bytes = 0;  // relay memory, summed likewise
   std::vector<AssocSnapshot> assocs;     // filled when requested
 };
 
@@ -147,9 +144,9 @@ class NodeShard {
   using SendFn = std::function<bool(net::PeerAddr, crypto::Bytes)>;
   /// Borrowed-view variant of SendFn for the relay fast path: the frame is
   /// only valid for the duration of the call. Optional -- when absent,
-  /// relay forwards fall back to SendFn with a copy. A ring-backed runtime
-  /// (ShardedNode) installs one so verified frames go straight from the
-  /// pipeline's batch buffers into ring slots, no intermediate Bytes.
+  /// relay forwards fall back to SendFn with a copy. ShardedNode's threaded
+  /// drive installs one so verified frames go straight from the pipeline's
+  /// batch buffers into ring slots, no intermediate Bytes.
   using SendViewFn = std::function<bool(net::PeerAddr, crypto::ByteView)>;
   /// Requests a wakeup (advance_timers call) at absolute time `at_us`.
   /// Optional: a worker loop that polls advance_timers() needs none.
@@ -172,12 +169,12 @@ class NodeShard {
 
   /// Adds a relay binding verifying-and-forwarding between `upstream`
   /// (toward the initiator) and `downstream` (toward the responder); see
-  /// AlphaNode::add_relay for the direction rule. Frames are collected into
-  /// verification batches of up to `batch` frames and emitted through the
-  /// (view-based) send path in one go. Partial batches are flushed by
-  /// flush_relays(), which the sharded drive loops call at end-of-drain, so
-  /// batching adds no idle latency; `batch` 1 flushes every frame inside
-  /// on_frame(), for drivers with no end-of-drain hook. Relay state is
+  /// ShardedNode::add_relay for the direction rule. Frames are collected
+  /// into verification batches of up to `batch` frames and emitted through
+  /// the (view-based) send path in one go. Partial batches are flushed by
+  /// flush_relays(), which ShardedNode calls at end-of-drain (threaded) or
+  /// after every frame (inline), so batching adds no idle latency; `batch`
+  /// 1 flushes every frame inside on_frame(). Relay state is
   /// keyed purely by association id, so bindings shard cleanly: ShardedNode
   /// registers one binding per shard, each seeing only the assoc-id slice
   /// the I/O thread routes to that shard.
@@ -186,8 +183,8 @@ class NodeShard {
                            ExtractFn on_extracted,
                            std::vector<std::uint32_t> assoc_ids);
 
-  /// Flushes every relay binding's pending frames.
-  void flush_relays();
+  /// Flushes every relay binding's pending frames at time `now_us`.
+  void flush_relays(std::uint64_t now_us);
   /// Frames buffered in relay bindings, not yet verified.
   std::size_t relay_pending() const noexcept;
   /// Cross-thread mirror of relay_pending() (relaxed; owner-updated).
@@ -212,29 +209,14 @@ class NodeShard {
   /// call at any frequency: a no-op until the next wheel slot boundary.
   void advance_timers(std::uint64_t now_us);
 
-  Host* host(std::uint32_t assoc_id) noexcept;
-  const Host* host(std::uint32_t assoc_id) const noexcept;
-  bool owns(std::uint32_t assoc_id) const noexcept {
-    return assocs_.contains(assoc_id);
-  }
   std::size_t association_count() const noexcept { return assocs_.size(); }
-  std::size_t established_count() const noexcept;
   /// Lock-free established count for cross-thread reads (updated with
   /// relaxed stores from the owning thread after every state transition).
   std::size_t established_count_relaxed() const noexcept {
     return established_relaxed_.load(std::memory_order_relaxed);
   }
 
-  std::size_t relay_count() const noexcept { return relays_.size(); }
-  RelayPipeline& relay(std::size_t i) { return relays_.at(i)->pipeline; }
-
   std::uint32_t index() const noexcept { return index_; }
-  std::uint64_t tick_granularity_us() const noexcept {
-    return tick_granularity_;
-  }
-  bool timers_armed() const noexcept { return !wheel_.empty(); }
-  std::uint64_t timer_fires() const noexcept { return timer_fires_; }
-  std::uint64_t frames_in() const noexcept { return frames_in_; }
 
   /// Folds this shard's counters (and optionally per-assoc detail) into
   /// `s`. Called from the owning thread only; ShardedNode routes snapshot

@@ -1,5 +1,6 @@
 #include "core/sharded_node.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -29,38 +30,44 @@ ShardedNode::ShardedNode(std::unique_ptr<net::Transport> transport,
                          Options options, Callbacks callbacks)
     : transport_(std::move(transport)),
       options_(std::move(options)),
-      workers_(options_.workers < 1 ? 1 : options_.workers) {
+      workers_(std::max<std::uint32_t>(options_.workers, 1)) {
   if (transport_ == nullptr) {
     throw std::invalid_argument("ShardedNode: null transport");
   }
-  threaded_ = transport_->clock_thread_safe();
+  threaded_ = options_.workers > 0 && transport_->clock_thread_safe();
 
   shards_.reserve(workers_);
   for (std::uint32_t i = 0; i < workers_; ++i) {
     auto sh = std::make_unique<Shard>();
     Shard* raw = sh.get();
-    sh->in = std::make_unique<FrameRing>(options_.ring_capacity);
-    sh->ctrl = std::make_unique<FrameRing>(options_.ring_capacity);
-    sh->out = std::make_unique<FrameRing>(options_.ring_capacity);
-    // Outbound frames never leave the worker thread directly: they queue on
-    // the shard's out-ring for the I/O thread (threaded) or the inline
-    // flush. A full ring is a send failure the shard counts -- explicit
-    // backpressure instead of an unbounded queue.
-    NodeShard::SendFn send = [raw](net::PeerAddr peer, crypto::Bytes frame) {
-      return raw->out->try_push(FrameSlot::Kind::kFrame, peer, 0, 0,
-                                crypto::ByteView{frame.data(), frame.size()});
-    };
-    // The relay fast path hands frames over as borrowed views: they go
-    // straight from the pipeline's batch buffers into ring slots with no
-    // intermediate Bytes allocation.
-    NodeShard::SendViewFn send_view = [raw](net::PeerAddr peer,
-                                            crypto::ByteView frame) {
-      return raw->out->try_push(FrameSlot::Kind::kFrame, peer, 0, 0, frame);
-    };
+    NodeShard::SendFn send;
+    NodeShard::SendViewFn send_view;
     NodeShard::WakeupFn wakeup;
-    if (!threaded_) {
-      // Inline drive: timer cadence rides the transport scheduler, exactly
-      // like AlphaNode. (Workers poll advance_timers themselves instead.)
+    if (threaded_) {
+      sh->in = std::make_unique<FrameRing>(options_.ring_capacity);
+      sh->ctrl = std::make_unique<FrameRing>(options_.ring_capacity);
+      sh->out = std::make_unique<FrameRing>(options_.ring_capacity);
+      // Outbound frames never leave the worker thread directly: they queue
+      // on the shard's out-ring for the I/O thread. A full ring is a send
+      // failure the shard counts -- explicit backpressure instead of an
+      // unbounded queue. Workers poll advance_timers themselves, so no
+      // wakeup callback.
+      send = [raw](net::PeerAddr peer, crypto::Bytes frame) {
+        return raw->out->try_push(FrameSlot::Kind::kFrame, peer, 0, 0,
+                                  crypto::ByteView{frame.data(), frame.size()});
+      };
+      // The relay fast path hands frames over as borrowed views: they go
+      // straight from the pipeline's batch buffers into ring slots with no
+      // intermediate Bytes allocation.
+      send_view = [raw](net::PeerAddr peer, crypto::ByteView frame) {
+        return raw->out->try_push(FrameSlot::Kind::kFrame, peer, 0, 0, frame);
+      };
+    } else {
+      // Inline drive: a frame produced at time t enters the network at t,
+      // and timer cadence rides the transport scheduler.
+      send = [this](net::PeerAddr peer, crypto::Bytes frame) {
+        return transport_->send(peer, std::move(frame));
+      };
       wakeup = [this, raw](std::uint64_t at_us) {
         schedule_shard_wakeup(*raw, at_us);
       };
@@ -73,13 +80,9 @@ ShardedNode::ShardedNode(std::unique_ptr<net::Transport> transport,
   }
 
   if (!threaded_) {
-    // Inline mode keeps the push model so frames are processed at their
-    // virtual arrival time (a response produced at t must enter the network
-    // at t, not when the current poll returns): each frame still crosses
-    // the owning shard's in-ring, it is just drained immediately.
     transport_->set_receiver(
         [this](net::PeerAddr from, crypto::ByteView frame) {
-          route_frame(from, frame, transport_->now_us());
+          deliver_inline(from, frame);
         });
   }
 }
@@ -171,7 +174,6 @@ void ShardedNode::start(std::uint32_t assoc_id) {
   Shard& sh = *shards_[shard_for(assoc_id)];
   if (!threaded_) {
     sh.node->start(assoc_id, transport_->now_us());
-    flush_out_ring(sh);
     return;
   }
   {
@@ -191,10 +193,7 @@ std::uint64_t ShardedNode::submit(std::uint32_t assoc_id,
                                   crypto::Bytes payload) {
   Shard& sh = *shards_[shard_for(assoc_id)];
   if (!threaded_) {
-    const std::uint64_t cookie =
-        sh.node->submit(assoc_id, std::move(payload), transport_->now_us());
-    flush_out_ring(sh);
-    return cookie;
+    return sh.node->submit(assoc_id, std::move(payload), transport_->now_us());
   }
   std::uint64_t cookie;
   {
@@ -217,11 +216,7 @@ std::uint64_t ShardedNode::submit(std::uint32_t assoc_id,
 }
 
 std::size_t ShardedNode::poll(int timeout_ms) {
-  if (!threaded_) {
-    const std::size_t frames = transport_->poll(timeout_ms);
-    for (auto& sh : shards_) flush_out_ring(*sh);
-    return frames;
-  }
+  if (!threaded_) return transport_->poll(timeout_ms);
   ensure_running();
   auto routed = [this] {
     std::uint64_t n = 0;
@@ -292,14 +287,17 @@ NodeSnapshot ShardedNode::snapshot(bool per_assoc) {
       s.duplicate_handshakes += sh->frag.duplicate_handshakes;
       s.retransmits += sh->frag.retransmits;
       s.relay += sh->frag.relay;
+      s.relay_buffered_bytes += sh->frag.relay_buffered_bytes;
       if (per_assoc) {
         s.assocs.insert(s.assocs.end(), sh->frag.assocs.begin(),
                         sh->frag.assocs.end());
       }
     }
   }
-  for (const auto& sh : shards_) {
-    s.ring_overflows += sh->in->overflows() + sh->out->overflows();
+  if (threaded_) {
+    for (const auto& sh : shards_) {
+      s.ring_overflows += sh->in->overflows() + sh->out->overflows();
+    }
   }
   return s;
 }
@@ -311,10 +309,12 @@ std::vector<ShardedNode::ShardStats> ShardedNode::shard_stats() const {
     const Shard& sh = *shards_[i];
     ShardStats st;
     st.shard = i;
-    st.in_depth = sh.in->size_approx();
-    st.out_depth = sh.out->size_approx();
-    st.in_overflows = sh.in->overflows();
-    st.out_overflows = sh.out->overflows();
+    if (threaded_) {
+      st.in_depth = sh.in->size_approx();
+      st.out_depth = sh.out->size_approx();
+      st.in_overflows = sh.in->overflows();
+      st.out_overflows = sh.out->overflows();
+    }
     st.frames_routed = sh.frames_routed.load(std::memory_order_relaxed);
     st.relay_pending = sh.node->relay_pending_relaxed();
     stats.push_back(st);
@@ -335,7 +335,18 @@ void ShardedNode::route_frame(net::PeerAddr from, crypto::ByteView frame,
   }
   // Overflow: the ring already counted it; dropping here is equivalent to
   // loss on the wire, which the protocol's retransmissions absorb.
-  if (!threaded_) drain_shard_inline(sh);
+}
+
+void ShardedNode::deliver_inline(net::PeerAddr from, crypto::ByteView frame) {
+  const auto assoc_id = wire::peek_assoc_id(frame);
+  Shard& sh = *shards_[shard_for(assoc_id.value_or(0))];
+  sh.frames_routed.fetch_add(1, std::memory_order_relaxed);
+  trace::ScopedStage prof_stage(trace::Stage::kShardDrain);
+  const std::uint64_t now_us = transport_->now_us();
+  sh.node->on_frame(from, frame, now_us);
+  // A partial relay batch goes out before the receiver returns, so
+  // batching never holds a frame across events.
+  sh.node->flush_relays(now_us);
 }
 
 void ShardedNode::apply_slot(Shard& sh, const FrameSlot& slot,
@@ -358,20 +369,6 @@ void ShardedNode::apply_slot(Shard& sh, const FrameSlot& slot,
       sh.frag_ready.store(true, std::memory_order_release);
       break;
   }
-}
-
-void ShardedNode::drain_shard_inline(Shard& sh) {
-  {
-    trace::ScopedStage prof_stage(trace::Stage::kShardDrain);
-    while (const FrameSlot* slot = sh.in->front()) {
-      apply_slot(sh, *slot, slot->time_us);
-      sh.in->pop();
-    }
-    // End-of-drain: partial relay batches go out now, before their frames'
-    // outbound ring pass, so batching never holds a frame across polls.
-    sh.node->flush_relays();
-  }
-  flush_out_ring(sh);
 }
 
 std::size_t ShardedNode::flush_out_ring(Shard& sh) {
@@ -404,7 +401,6 @@ void ShardedNode::schedule_shard_wakeup(Shard& sh, std::uint64_t at_us) {
   transport_->schedule(at_us, [this, &sh] {
     sh.wakeup_pending = false;
     sh.node->advance_timers(transport_->now_us());
-    flush_out_ring(sh);
   });
 }
 
@@ -447,8 +443,9 @@ void ShardedNode::worker_loop(Shard& sh) {
     // End-of-drain flush: full batches flushed themselves inside on_frame;
     // whatever is left goes out before the idle nap, so batching trades no
     // latency for its throughput.
-    sh.node->flush_relays();
-    sh.node->advance_timers(transport_->now_us());
+    const std::uint64_t now_us = transport_->now_us();
+    sh.node->flush_relays(now_us);
+    sh.node->advance_timers(now_us);
     if (did == 0) std::this_thread::sleep_for(kIdleNap);
   }
 }

@@ -5,9 +5,9 @@
 // per-node receive callbacks while virtual time advances, and UDP sockets
 // must be drained by blocking polls against wall-clock time. Transport hides
 // that difference behind one interface -- send a frame to a peer, drain
-// pending input, read a monotonic clock, schedule a callback -- so AlphaNode
-// (core/node.hpp) and every example/tool/test can run identically over
-// either world.
+// pending input, read a monotonic clock, schedule a callback -- so the node
+// runtime (core::ShardedNode, core/sharded_node.hpp) and every
+// example/tool/test can run identically over either world.
 //
 // Peers are opaque 64-bit addresses: a net::NodeId in the simulator, a
 // loopback UDP port for sockets.
@@ -74,14 +74,14 @@ class Transport {
   /// from poll(). Used by the node runtime's timer wheel.
   virtual void schedule(std::uint64_t at_us, std::function<void()> fn) = 0;
 
-  // ---- batched I/O (the sharded runtime's drive model) -------------------
+  // ---- batched I/O (the threaded drive's model) --------------------------
   //
   // recv_batch/send_batch form a pull-based alternative to the
   // set_receiver/poll push model: the caller owns the drive loop and the
   // transport amortizes per-frame cost over a batch (one recvmmsg/sendmmsg
-  // syscall on UDP, one buffered dequeue on the simulator). A transport is
-  // driven through exactly one of the two models at a time -- frames go to
-  // the receiver when one is installed, to recv_batch's buffer otherwise.
+  // syscall on UDP). A transport is driven through exactly one of the two
+  // models at a time. Only transports with a thread-safe clock (sockets)
+  // are ever driven threaded; the simulator is push-only.
 
   /// Pulls up to `max` pending inbound frames, waiting up to `timeout_ms`
   /// for the first. Returns the number written to `out`; views stay valid
@@ -117,7 +117,8 @@ class Transport {
 
 /// Transport adapter over the discrete-event simulator: binds to one
 /// network node, pushes arriving frames straight into the receiver while
-/// the simulation runs, and maps poll() to advancing virtual time.
+/// the simulation runs (frames arriving with no receiver installed are
+/// dropped), and maps poll() to advancing virtual time.
 class SimTransport final : public Transport {
  public:
   /// Binds to `self`, which must already exist in `network`. Replaces the
@@ -134,28 +135,13 @@ class SimTransport final : public Transport {
   std::uint64_t now_us() const override;
   void schedule(std::uint64_t at_us, std::function<void()> fn) override;
 
-  /// With no receiver installed, arriving frames are buffered (stamped with
-  /// their virtual arrival time). recv_batch advances virtual time by up to
-  /// `timeout_ms` only when the buffer is empty, then hands out buffered
-  /// frames in arrival order. timeout 0 = drain-only.
-  std::size_t recv_batch(int timeout_ms, RxFrame* out,
-                         std::size_t max) override;
-
   NodeId self() const noexcept { return self_; }
 
  private:
-  struct Buffered {
-    PeerAddr from;
-    std::uint64_t recv_us;
-    crypto::Bytes data;
-  };
-
   Network* network_;
   NodeId self_;
   ReceiveFn receiver_;
   std::size_t frames_delivered_ = 0;  // total, for poll() deltas
-  std::queue<Buffered> pending_;      // frames buffered for recv_batch
-  std::vector<Buffered> drained_;     // storage behind the last batch's views
 };
 
 /// Transport adapter over a real UDP socket: poll() waits for and then

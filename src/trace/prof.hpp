@@ -28,7 +28,7 @@
 namespace alpha::trace {
 
 enum class Stage : std::uint8_t {
-  kShardDrain = 0,   // ShardedNode: one shard-queue drain pass
+  kShardDrain = 0,   // ShardedNode: one ring drain (threaded) or frame (inline)
   kRelayVerify = 1,  // RelayPipeline::flush() batched S2 verification
   kChainStep = 2,    // hashchain chain step (one compression-function walk)
 };

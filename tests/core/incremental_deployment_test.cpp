@@ -45,7 +45,7 @@ TEST(IncrementalDeploymentTest, EndToEndWorksThroughMixedPath) {
   mp.sim.run_until(2 * kSecond);
   ASSERT_EQ(mp.path->delivered_to_responder().size(), 1u);
   // The lone ALPHA relay (index 1 = node 2) verified the payload.
-  EXPECT_EQ(mp.path->relay(1).stats().messages_extracted, 1u);
+  EXPECT_EQ(mp.path->relay_stats(1).messages_extracted, 1u);
 }
 
 TEST(IncrementalDeploymentTest, LoneAlphaRelayStillStopsForgeries) {
@@ -62,7 +62,7 @@ TEST(IncrementalDeploymentTest, LoneAlphaRelayStillStopsForgeries) {
   mp.sim.run_until(mp.sim.now() + 3 * kSecond);
 
   EXPECT_GT(mp.network.link_stats(1, 2).frames_sent, 50u);  // crossed hop 1
-  EXPECT_EQ(mp.path->relay(1).stats().dropped_unsolicited, 50u);
+  EXPECT_EQ(mp.path->relay_stats(1).dropped_unsolicited, 50u);
   // Nothing forged crossed hop 2->3.
   EXPECT_TRUE(mp.path->delivered_to_responder().empty());
 }

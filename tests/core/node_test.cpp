@@ -1,5 +1,7 @@
-// AlphaNode runtime: association demux, on-demand accept, timer wheel.
-#include "core/node.hpp"
+// Node runtime on one shard: association demux, on-demand accept, timer
+// wheel -- over the simulator and, with workers = 0, over real sockets on
+// the calling thread.
+#include "core/sharded_node.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 
 #include "core/timer_wheel.hpp"
 #include "net/network.hpp"
+#include "trace/trace.hpp"
 #include "wire/packets.hpp"
 
 namespace alpha::core {
@@ -77,7 +80,7 @@ Config reliable_config() {
   return config;
 }
 
-TEST(AlphaNodeSimTest, TwoAssociationsInterleaveOverOneTransport) {
+TEST(ShardedNodeSimTest, TwoAssociationsInterleaveOverOneTransport) {
   net::Simulator sim;
   net::Network network{sim, 3};
   network.add_node(0);
@@ -87,29 +90,29 @@ TEST(AlphaNodeSimTest, TwoAssociationsInterleaveOverOneTransport) {
   network.add_link(0, 1, link);
 
   const Config config = reliable_config();
-  AlphaNode::Options a_opts;
-  a_opts.config = config;
-  a_opts.seed = 7;
+  ShardedNode::Options a_opts;
+  a_opts.shard.config = config;
+  a_opts.shard.seed = 7;
   std::map<std::uint32_t, std::size_t> acked;
-  AlphaNode::Callbacks a_cbs;
+  ShardedNode::Callbacks a_cbs;
   a_cbs.on_delivery = [&](std::uint32_t assoc, std::uint64_t,
                           DeliveryStatus status) {
     if (status == DeliveryStatus::kAcked) ++acked[assoc];
   };
-  AlphaNode node_a{std::make_unique<net::SimTransport>(network, 0), a_opts,
-                   a_cbs};
+  ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
+                     a_opts, a_cbs};
 
-  AlphaNode::Options b_opts;
-  b_opts.config = config;
-  b_opts.seed = 8;
-  b_opts.accept_inbound = true;
+  ShardedNode::Options b_opts;
+  b_opts.shard.config = config;
+  b_opts.shard.seed = 8;
+  b_opts.shard.accept_inbound = true;
   std::map<std::uint32_t, std::vector<Bytes>> at_b;
-  AlphaNode::Callbacks b_cbs;
+  ShardedNode::Callbacks b_cbs;
   b_cbs.on_message = [&](std::uint32_t assoc, crypto::ByteView payload) {
     at_b[assoc].emplace_back(payload.begin(), payload.end());
   };
-  AlphaNode node_b{std::make_unique<net::SimTransport>(network, 1), b_opts,
-                   b_cbs};
+  ShardedNode node_b{std::make_unique<net::SimTransport>(network, 1),
+                     b_opts, b_cbs};
 
   node_a.add_initiator(1, /*peer=*/1, config);
   node_a.add_initiator(2, /*peer=*/1, config);
@@ -149,15 +152,15 @@ TEST(AlphaNodeSimTest, TwoAssociationsInterleaveOverOneTransport) {
   }
 }
 
-TEST(AlphaNodeSimTest, MalformedAndUnknownFramesAreCounted) {
+TEST(ShardedNodeSimTest, MalformedAndUnknownFramesAreCounted) {
   net::Simulator sim;
   net::Network network{sim, 3};
   network.add_node(0);
   network.add_node(1);
   network.add_link(0, 1);
 
-  AlphaNode::Options opts;  // accept_inbound off, no associations
-  AlphaNode node{std::make_unique<net::SimTransport>(network, 1), opts};
+  ShardedNode::Options opts;  // accept_inbound off, no associations
+  ShardedNode node{std::make_unique<net::SimTransport>(network, 1), opts};
 
   net::SimTransport injector{network, 0};
   injector.send(1, Bytes{0xff});  // garbage: assoc-id peek fails
@@ -183,7 +186,7 @@ TEST(AlphaNodeSimTest, MalformedAndUnknownFramesAreCounted) {
   EXPECT_EQ(snap.accepted_handshakes, 0u);
 }
 
-TEST(AlphaNodeSimTest, TimerWheelGoesIdleAfterQuiescence) {
+TEST(ShardedNodeSimTest, TimerWheelGoesIdleAfterQuiescence) {
   net::Simulator sim;
   net::Network network{sim, 3};
   network.add_node(0);
@@ -191,15 +194,17 @@ TEST(AlphaNodeSimTest, TimerWheelGoesIdleAfterQuiescence) {
   network.add_link(0, 1);
 
   const Config config = reliable_config();
-  AlphaNode::Options a_opts;
-  a_opts.config = config;
-  a_opts.seed = 21;
-  AlphaNode node_a{std::make_unique<net::SimTransport>(network, 0), a_opts};
-  AlphaNode::Options b_opts;
-  b_opts.config = config;
-  b_opts.seed = 22;
-  b_opts.accept_inbound = true;
-  AlphaNode node_b{std::make_unique<net::SimTransport>(network, 1), b_opts};
+  ShardedNode::Options a_opts;
+  a_opts.shard.config = config;
+  a_opts.shard.seed = 21;
+  ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
+                     a_opts};
+  ShardedNode::Options b_opts;
+  b_opts.shard.config = config;
+  b_opts.shard.seed = 22;
+  b_opts.shard.accept_inbound = true;
+  ShardedNode node_b{std::make_unique<net::SimTransport>(network, 1),
+                     b_opts};
 
   node_a.add_initiator(1, 1, config);
   node_a.start(1);
@@ -221,34 +226,92 @@ TEST(AlphaNodeSimTest, TimerWheelGoesIdleAfterQuiescence) {
   EXPECT_EQ(node_b.snapshot().messages_delivered, 2u);
 }
 
+TEST(ShardedNodeSimTest, BatchedRelayEventsCarryRelayOriginAndFrameTime) {
+  // A relay binding with a batch above 1 flushes in flush_relays(), after
+  // on_frame() returns; its trace events must still name the relay node and
+  // the frame's arrival time, as a flush-per-frame binding's do.
+  net::Simulator sim;
+  net::Network network{sim, 3};
+  net::LinkConfig link;
+  link.latency = net::kMillisecond;
+  for (net::NodeId id = 0; id <= 2; ++id) network.add_node(id);
+  network.add_link(0, 1, link);
+  network.add_link(1, 2, link);
+
+  const Config config = reliable_config();
+  ShardedNode::Options a_opts;
+  a_opts.shard.config = config;
+  a_opts.shard.seed = 41;
+  ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
+                     a_opts};
+  ShardedNode::Options r_opts;
+  r_opts.shard.config = config;
+  r_opts.shard.trace_origin = 7;
+  ShardedNode relay{std::make_unique<net::SimTransport>(network, 1), r_opts};
+  relay.add_relay(/*upstream=*/0, /*downstream=*/2, /*assoc_ids=*/{1},
+                  /*relay_batch=*/32);
+  ShardedNode::Options b_opts;
+  b_opts.shard.config = config;
+  b_opts.shard.seed = 42;
+  b_opts.shard.accept_inbound = true;
+  ShardedNode node_b{std::make_unique<net::SimTransport>(network, 2),
+                     b_opts};
+
+  trace::Ring ring{1 << 12};
+  trace::install(&ring);
+  node_a.add_initiator(1, /*peer=*/1, config);
+  node_a.start(1);
+  sim.run_until(net::kSecond);
+  node_a.submit(1, Bytes(64, 0x5a));
+  sim.run_until(2 * net::kSecond);
+  trace::install(nullptr);
+
+  ASSERT_EQ(node_b.snapshot().messages_delivered, 1u);
+  std::size_t forwarded = 0;
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const trace::Event& e = ring.at(i);
+    if (e.kind != trace::EventKind::kRelayForwarded) continue;
+    ++forwarded;
+    EXPECT_EQ(e.origin, 7u);
+    EXPECT_GT(e.time_us, 0u);  // every frame crosses a 1 ms link first
+  }
+  EXPECT_EQ(forwarded, relay.snapshot().relay.forwarded);
+  EXPECT_GT(forwarded, 0u);
+}
+
 // ----------------------------------------------- demux over real UDP sockets
 
-TEST(AlphaNodeUdpTest, TwoAssociationsCrossFedOverRealSockets) {
+TEST(ShardedNodeUdpTest, TwoAssociationsCrossFedOverRealSockets) {
   using Clock = std::chrono::steady_clock;
   const Config config = reliable_config();
 
-  AlphaNode::Options a_opts;
-  a_opts.config = config;
-  a_opts.seed = 31;
+  // workers = 0: both nodes run on this thread, inside poll().
+  ShardedNode::Options a_opts;
+  a_opts.workers = 0;
+  a_opts.shard.config = config;
+  a_opts.shard.seed = 31;
   std::map<std::uint32_t, std::size_t> acked;
-  AlphaNode::Callbacks a_cbs;
+  ShardedNode::Callbacks a_cbs;
   a_cbs.on_delivery = [&](std::uint32_t assoc, std::uint64_t,
                           DeliveryStatus status) {
     if (status == DeliveryStatus::kAcked) ++acked[assoc];
   };
-  AlphaNode node_a{std::make_unique<net::UdpTransport>(), a_opts, a_cbs};
+  ShardedNode node_a{std::make_unique<net::UdpTransport>(), a_opts, a_cbs};
 
-  AlphaNode::Options b_opts;
-  b_opts.config = config;
-  b_opts.seed = 32;
-  b_opts.accept_inbound = true;
+  ShardedNode::Options b_opts;
+  b_opts.workers = 0;
+  b_opts.shard.config = config;
+  b_opts.shard.seed = 32;
+  b_opts.shard.accept_inbound = true;
   std::map<std::uint32_t, std::vector<Bytes>> at_b;
-  AlphaNode::Callbacks b_cbs;
+  ShardedNode::Callbacks b_cbs;
   b_cbs.on_message = [&](std::uint32_t assoc, crypto::ByteView payload) {
     at_b[assoc].emplace_back(payload.begin(), payload.end());
   };
-  AlphaNode node_b{std::make_unique<net::UdpTransport>(), b_opts, b_cbs};
+  ShardedNode node_b{std::make_unique<net::UdpTransport>(), b_opts, b_cbs};
 
+  EXPECT_FALSE(node_a.threaded());
+  EXPECT_FALSE(node_b.threaded());
   const auto b_port =
       static_cast<net::UdpTransport&>(node_b.transport()).port();
   node_a.add_initiator(1, b_port, config);

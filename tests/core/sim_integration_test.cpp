@@ -47,8 +47,8 @@ TEST(SimIntegrationTest, FourHopPathDelivers) {
   ASSERT_EQ(sc.path->delivered_to_responder().size(), 1u);
   EXPECT_EQ(sc.path->delivered_to_responder()[0], msg("protected path payload"));
   for (std::size_t i = 0; i < sc.path->relay_count(); ++i) {
-    EXPECT_EQ(sc.path->relay(i).stats().dropped_invalid, 0u);
-    EXPECT_EQ(sc.path->relay(i).stats().messages_extracted, 1u);
+    EXPECT_EQ(sc.path->relay_stats(i).dropped_invalid, 0u);
+    EXPECT_EQ(sc.path->relay_stats(i).messages_extracted, 1u);
   }
 }
 
@@ -64,9 +64,8 @@ TEST(SimIntegrationTest, ReliableDeliveryOverLossyPath) {
   config.max_retries = 30;
 
   Scenario sc{3, lossy, config, /*net_seed=*/99};
-  sc.path->start(/*tick_horizon_us=*/600 * kSecond);
+  sc.path->start();
   sc.sim.run_until(10 * kSecond);
-  // Handshake is not retransmitted by design; if lost, re-start it.
   for (int attempt = 0; attempt < 20 && !sc.path->initiator().established();
        ++attempt) {
     sc.path->initiator().start();
@@ -158,7 +157,7 @@ TEST(SimIntegrationTest, FloodStoppedAtFirstRelay) {
   sc.sim.run_until(sc.sim.now() + 5 * kSecond);
 
   // All flood frames died at the first relay.
-  EXPECT_EQ(sc.path->relay(0).stats().dropped_unsolicited, 50u);
+  EXPECT_EQ(sc.path->relay_stats(0).dropped_unsolicited, 50u);
   // Nothing reached the responder's application or the later links.
   EXPECT_TRUE(sc.path->delivered_to_responder().empty());
   EXPECT_EQ(sc.network.link_stats(2, 3).frames_sent,
@@ -192,7 +191,7 @@ TEST(SimIntegrationTest, TamperingRelayDetectedDownstream) {
 
   EXPECT_TRUE(path.delivered_to_responder().empty());
   // The honest relay at node 2 (relay index 1) caught the modification.
-  EXPECT_GT(path.relay(1).stats().dropped_invalid, 0u);
+  EXPECT_GT(path.relay_stats(1).dropped_invalid, 0u);
 }
 
 TEST(SimIntegrationTest, MerkleModeBulkTransferOverJitteryPath) {
@@ -218,7 +217,7 @@ TEST(SimIntegrationTest, MerkleModeBulkTransferOverJitteryPath) {
   // Out-of-order S2 delivery is fine: each packet verifies independently.
   EXPECT_EQ(sc.path->delivered_to_responder().size(), 64u);
   for (std::size_t i = 0; i < sc.path->relay_count(); ++i) {
-    EXPECT_EQ(sc.path->relay(i).stats().dropped_invalid, 0u);
+    EXPECT_EQ(sc.path->relay_stats(i).dropped_invalid, 0u);
   }
 }
 
@@ -244,7 +243,7 @@ TEST(SimIntegrationTest, ManyRoundsSustained) {
   config.chain_length = 512;
 
   Scenario sc{2, net::LinkConfig{}, config};
-  sc.path->start(/*tick_horizon_us=*/300 * kSecond);
+  sc.path->start();
   sc.sim.run_until(kSecond);
 
   for (int i = 0; i < 200; ++i) {
@@ -266,7 +265,7 @@ TEST(SimIntegrationTest, DeterministicAcrossRuns) {
     config.rto_us = 50 * kMillisecond;
     config.max_retries = 20;
     Scenario sc{2, lossy, config, /*net_seed=*/1234};
-    sc.path->start(600 * kSecond);
+    sc.path->start();
     sc.sim.run_until(5 * kSecond);
     for (int attempt = 0; attempt < 20 && !sc.path->initiator().established();
          ++attempt) {

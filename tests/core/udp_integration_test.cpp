@@ -1,13 +1,13 @@
-// End-to-end over real UDP sockets: three AlphaNodes on the loopback
+// End-to-end over real UDP sockets: three node runtimes on the loopback
 // interface -- host A, a verifying relay node, host B -- each polling its
-// own UdpTransport. The relay runtime demuxes by association id and derives
+// own UdpTransport on the test thread (workers = 0). The relay runtime demuxes by association id and derives
 // the relay direction from the source port; host B accepts the inbound
 // handshake on demand.
 #include <gtest/gtest.h>
 
 #include <chrono>
 
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "net/udp.hpp"
 #include "wire/packets.hpp"
 
@@ -16,8 +16,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-std::uint16_t port_of(AlphaNode& node) {
+std::uint16_t port_of(ShardedNode& node) {
   return static_cast<net::UdpTransport&>(node.transport()).port();
+}
+
+// No worker threads: the node runs on the thread that calls poll().
+ShardedNode::Options caller_thread_options(const Config& config,
+                                           std::uint64_t seed = 1) {
+  ShardedNode::Options o;
+  o.workers = 0;
+  o.shard.config = config;
+  o.shard.seed = seed;
+  return o;
 }
 
 TEST(UdpIntegrationTest, HostsExchangeThroughVerifyingRelay) {
@@ -25,35 +35,31 @@ TEST(UdpIntegrationTest, HostsExchangeThroughVerifyingRelay) {
   config.reliable = true;
   config.rto_us = 200'000;
 
-  AlphaNode::Options relay_opts;
-  relay_opts.config = config;
-  AlphaNode relay_node{std::make_unique<net::UdpTransport>(), relay_opts};
+  ShardedNode relay_node{std::make_unique<net::UdpTransport>(),
+                         caller_thread_options(config)};
 
-  AlphaNode::Options a_opts;
-  a_opts.config = config;
-  a_opts.seed = 1;
   bool acked = false;
-  AlphaNode::Callbacks a_cbs;
+  ShardedNode::Callbacks a_cbs;
   a_cbs.on_delivery = [&](std::uint32_t, std::uint64_t,
                           DeliveryStatus status) {
     acked = status == DeliveryStatus::kAcked;
   };
-  AlphaNode node_a{std::make_unique<net::UdpTransport>(), a_opts, a_cbs};
+  ShardedNode node_a{std::make_unique<net::UdpTransport>(),
+                     caller_thread_options(config, 1), a_cbs};
 
-  AlphaNode::Options b_opts;
-  b_opts.config = config;
-  b_opts.seed = 2;
-  b_opts.accept_inbound = true;
+  ShardedNode::Options b_opts = caller_thread_options(config, 2);
+  b_opts.shard.accept_inbound = true;
   std::vector<crypto::Bytes> at_b;
-  AlphaNode::Callbacks b_cbs;
+  ShardedNode::Callbacks b_cbs;
   b_cbs.on_message = [&](std::uint32_t, crypto::ByteView payload) {
     at_b.emplace_back(payload.begin(), payload.end());
   };
-  AlphaNode node_b{std::make_unique<net::UdpTransport>(), b_opts, b_cbs};
+  ShardedNode node_b{std::make_unique<net::UdpTransport>(), b_opts, b_cbs};
 
   relay_node.add_relay(/*upstream=*/port_of(node_a),
-                       /*downstream=*/port_of(node_b));
-  node_a.add_initiator(/*assoc_id=*/1, /*peer=*/port_of(relay_node), config);
+                       /*downstream=*/port_of(node_b), /*assoc_ids=*/{});
+  const Host& host_a = node_a.add_initiator(
+      /*assoc_id=*/1, /*peer=*/port_of(relay_node), config);
   node_a.start(1);
   node_a.submit(1, crypto::Bytes(500, 0x5e));
 
@@ -64,26 +70,26 @@ TEST(UdpIntegrationTest, HostsExchangeThroughVerifyingRelay) {
     node_b.poll(2);
   }
 
-  ASSERT_TRUE(node_a.host(1)->established());
-  ASSERT_TRUE(node_b.host(1) != nullptr);
-  ASSERT_TRUE(node_b.host(1)->established());
-  EXPECT_EQ(node_b.snapshot().accepted_handshakes, 1u);
+  ASSERT_TRUE(host_a.established());
+  const auto b_snap = node_b.snapshot(/*per_assoc=*/true);
+  ASSERT_EQ(b_snap.assocs.size(), 1u);
+  ASSERT_TRUE(b_snap.assocs[0].established);
+  EXPECT_EQ(b_snap.accepted_handshakes, 1u);
   ASSERT_EQ(at_b.size(), 1u);
   EXPECT_EQ(at_b[0].size(), 500u);
   EXPECT_TRUE(acked);
-  EXPECT_EQ(relay_node.relay(0).stats().dropped_invalid, 0u);
-  EXPECT_EQ(relay_node.relay(0).stats().messages_extracted, 1u);
+  const RelayStats relay = relay_node.snapshot().relay;
+  EXPECT_EQ(relay.dropped_invalid, 0u);
+  EXPECT_EQ(relay.messages_extracted, 1u);
 }
 
 TEST(UdpIntegrationTest, RelayDropsForgedFramesOnRealSockets) {
-  Config config;
-  AlphaNode::Options relay_opts;
-  relay_opts.config = config;
-  AlphaNode relay_node{std::make_unique<net::UdpTransport>(), relay_opts};
+  ShardedNode relay_node{std::make_unique<net::UdpTransport>(),
+                         caller_thread_options(Config{})};
 
   net::UdpEndpoint sock_attacker, sock_sink;
   relay_node.add_relay(/*upstream=*/sock_attacker.port(),
-                       /*downstream=*/sock_sink.port());
+                       /*downstream=*/sock_sink.port(), /*assoc_ids=*/{});
 
   // Forged S2 with no handshake/S1 context arrives over a real socket.
   wire::S2Packet forged;

@@ -20,7 +20,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/node.hpp"
+#include "core/sharded_node.hpp"
 #include "net/transport.hpp"
 #include "trace/flight.hpp"
 #include "trace/spans.hpp"
@@ -77,15 +77,16 @@ core::Config tunnel_config() {
   FlightRecorder recorder(fopts, &ring);
   if (!recorder.ok()) _exit(61);
 
-  core::AlphaNode::Options opts;
-  opts.config = tunnel_config();
-  opts.seed = 2;
-  opts.accept_inbound = true;
-  opts.trace_origin = 2;
+  core::ShardedNode::Options opts;
+  opts.workers = 0;  // this thread's ring records transport + engine events
+  opts.shard.config = tunnel_config();
+  opts.shard.seed = 2;
+  opts.shard.accept_inbound = true;
+  opts.shard.trace_origin = 2;
   int delivered = 0;
-  core::AlphaNode::Callbacks cbs;
+  core::ShardedNode::Callbacks cbs;
   cbs.on_message = [&](std::uint32_t, crypto::ByteView) { ++delivered; };
-  core::AlphaNode node{std::move(transport), opts, cbs};
+  core::ShardedNode node{std::move(transport), opts, cbs};
 
   const std::uint16_t port =
       static_cast<net::UdpTransport&>(node.transport()).port();
@@ -123,17 +124,18 @@ core::Config tunnel_config() {
   FlightRecorder recorder(fopts, &ring);
   if (!recorder.ok()) _exit(71);
 
-  core::AlphaNode::Options opts;
-  opts.config = tunnel_config();
-  opts.seed = 1;
-  opts.trace_origin = 1;
+  core::ShardedNode::Options opts;
+  opts.workers = 0;
+  opts.shard.config = tunnel_config();
+  opts.shard.seed = 1;
+  opts.shard.trace_origin = 1;
   std::uint64_t acked = 0;
-  core::AlphaNode::Callbacks cbs;
+  core::ShardedNode::Callbacks cbs;
   cbs.on_delivery = [&](std::uint32_t, std::uint64_t,
                         core::DeliveryStatus status) {
     if (status == core::DeliveryStatus::kAcked) ++acked;
   };
-  core::AlphaNode node{std::move(transport), opts, cbs};
+  core::ShardedNode node{std::move(transport), opts, cbs};
   node.add_initiator(/*assoc_id=*/1, /*peer=*/peer_port, tunnel_config());
   node.start(1);
 

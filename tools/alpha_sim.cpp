@@ -1,7 +1,7 @@
 // alpha_sim -- configurable ALPHA experiment runner.
 //
-// Sets up a linear multi-hop path of AlphaNode runtimes in the
-// deterministic simulator, streams messages through the chosen protocol
+// Sets up a linear multi-hop path of node runtimes (core::ShardedNode) in
+// the deterministic simulator, streams messages through the chosen protocol
 // profile -- optionally over many concurrent associations between the same
 // end nodes -- and prints a result table: delivery/ack counts, goodput,
 // per-role hash work, relay drops, retransmits, runtime demux counters.
@@ -16,7 +16,6 @@
 #include <map>
 #include <string>
 
-#include "core/node.hpp"
 #include "core/sharded_node.hpp"
 #include "flags.hpp"
 #include "net/network.hpp"
@@ -89,11 +88,8 @@ int main(int argc, char** argv) {
                "shard workers for the end nodes (sharded runtime; the "
                "simulator drives shards inline, so runs stay deterministic)");
   flags.define("relay-workers", "1",
-               "shard workers for interior relay nodes (>1 runs relays on "
-               "the sharded runtime, bindings demuxed by assoc-id hash)");
-  flags.define("relay-batch", "1",
-               "relay verification batch size (1 flushes every frame; >1 "
-               "batches on the sharded runtime, flushing at end-of-drain)");
+               "shard workers for interior relay nodes (relay bindings "
+               "demuxed across shards by assoc-id hash)");
   flags.define("corrupt", "0.0", "per-link frame bit-corruption rate");
   flags.define("dup", "0.0", "per-link frame duplication rate");
   flags.define("reorder", "0.0", "per-link frame reordering rate");
@@ -133,12 +129,10 @@ int main(int argc, char** argv) {
   const auto workers = static_cast<std::uint32_t>(flags.num("workers"));
   const auto relay_workers =
       static_cast<std::uint32_t>(flags.num("relay-workers"));
-  const auto relay_batch = static_cast<std::size_t>(flags.num("relay-batch"));
-  if (hops < 1 || assocs < 1 || workers < 1 || relay_workers < 1 ||
-      relay_batch < 1) {
+  if (hops < 1 || assocs < 1 || workers < 1 || relay_workers < 1) {
     std::fprintf(stderr,
-                 "need --hops >= 1, --assocs >= 1, --workers >= 1, "
-                 "--relay-workers >= 1 and --relay-batch >= 1\n");
+                 "need --hops >= 1, --assocs >= 1, --workers >= 1 and "
+                 "--relay-workers >= 1\n");
     return 2;
   }
 
@@ -275,13 +269,13 @@ int main(int argc, char** argv) {
   }
   responder_opts.require_protected_peer = flags.flag("require-protected");
 
-  // One AlphaNode per path node. Node 0 runs every initiator association;
-  // node `hops` accepts the inbound handshakes on demand; interior nodes
-  // carry a single relay binding each and demux frames by association id.
-  // The end nodes run the sharded runtime (--workers N). Over SimTransport
-  // the shards are driven inline -- one thread, virtual-arrival order -- so
-  // sharded runs replay bit-identically per seed. Interior relay nodes stay
-  // on AlphaNode (relay state is not partitioned by association).
+  // One node runtime per path node. Node 0 runs every initiator
+  // association; node `hops` accepts the inbound handshakes on demand;
+  // interior nodes carry one relay binding each and demux frames by
+  // association id. The end nodes run --workers shards, the relays
+  // --relay-workers. Over SimTransport the shards are driven inline -- one
+  // thread, virtual-arrival order -- so runs replay bit-identically per
+  // seed at any shard count.
   std::size_t delivered = 0;
   std::size_t acked = 0;
   core::ShardedNode::Options init_opts;
@@ -341,40 +335,25 @@ int main(int argc, char** argv) {
   core::ShardedNode initiator_node{
       std::make_unique<net::SimTransport>(network, 0), init_opts, init_cbs};
 
-  // Interior relay nodes: an AlphaNode relay flushing every frame by
-  // default, or -- with --relay-workers/--relay-batch above 1 -- the sharded
-  // runtime with relay bindings demuxed across workers by assoc-id hash and
-  // S2 verification amortized over batches. Both run RelayPipeline.
-  // Association ids are known up front (1..assocs), which sharded relay
-  // bindings require.
-  const bool sharded_relays = relay_workers > 1 || relay_batch > 1;
-  std::vector<std::unique_ptr<core::AlphaNode>> relay_nodes;
-  std::vector<std::unique_ptr<core::ShardedNode>> sharded_relay_nodes;
+  // Interior relay nodes: relay bindings demuxed across --relay-workers
+  // shards by assoc-id hash. Association ids are known up front
+  // (1..assocs), so each shard's binding owns exactly its slice.
+  std::vector<std::unique_ptr<core::ShardedNode>> relay_nodes;
   std::vector<std::uint32_t> relay_assoc_ids;
   for (std::size_t a = 0; a < assocs; ++a) {
     relay_assoc_ids.push_back(static_cast<std::uint32_t>(a + 1));
   }
-  core::AlphaNode::Options relay_node_opts;
-  relay_node_opts.config = config;
   for (net::NodeId id = 1; id < hops; ++id) {
-    if (sharded_relays) {
-      core::ShardedNode::Options ropts;
-      ropts.shard.config = config;
-      ropts.shard.seed = seed + 100 + id;
-      ropts.shard.trace_origin = static_cast<std::uint8_t>(id);
-      ropts.workers = relay_workers;
-      auto node = std::make_unique<core::ShardedNode>(
-          std::make_unique<net::SimTransport>(network, id), ropts);
-      node->add_relay(/*upstream=*/id - 1, /*downstream=*/id + 1,
-                      relay_assoc_ids, relay_batch);
-      sharded_relay_nodes.push_back(std::move(node));
-    } else {
-      relay_node_opts.trace_origin = static_cast<std::uint8_t>(id);
-      auto node = std::make_unique<core::AlphaNode>(
-          std::make_unique<net::SimTransport>(network, id), relay_node_opts);
-      node->add_relay(/*upstream=*/id - 1, /*downstream=*/id + 1);
-      relay_nodes.push_back(std::move(node));
-    }
+    core::ShardedNode::Options ropts;
+    ropts.shard.config = config;
+    ropts.shard.seed = seed + 100 + id;
+    ropts.shard.trace_origin = static_cast<std::uint8_t>(id);
+    ropts.workers = relay_workers;
+    auto node = std::make_unique<core::ShardedNode>(
+        std::make_unique<net::SimTransport>(network, id), ropts);
+    node->add_relay(/*upstream=*/id - 1, /*downstream=*/id + 1,
+                    relay_assoc_ids);
+    relay_nodes.push_back(std::move(node));
   }
 
   core::ShardedNode::Options resp_opts;
@@ -487,8 +466,7 @@ int main(int argc, char** argv) {
     fold_shards("responder", responder_node.shard_stats());
     // Relay attribution: forwarded/extracted totals plus every drop broken
     // out by taxonomy reason, per relay node (assignment per scrape, so
-    // re-folding is idempotent). Sharded relays also export their per-shard
-    // queue depths through fold_shards above.
+    // re-folding is idempotent), and each relay's per-shard queue stats.
     const auto fold_relay = [&](std::size_t idx, const core::RelayStats& rs) {
       const std::string labels = "relay=\"" + std::to_string(idx) + "\"";
       registry.counter("alpha_relay_forwarded", labels) = rs.forwarded;
@@ -508,11 +486,8 @@ int main(int argc, char** argv) {
     };
     for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
       fold_relay(i, relay_nodes[i]->snapshot().relay);
-    }
-    for (std::size_t i = 0; i < sharded_relay_nodes.size(); ++i) {
-      fold_relay(i, sharded_relay_nodes[i]->snapshot().relay);
       fold_shards(("relay" + std::to_string(i)).c_str(),
-                  sharded_relay_nodes[i]->shard_stats());
+                  relay_nodes[i]->shard_stats());
     }
     trace::export_prof(profiler, registry);
     if (trace_ring.has_value()) span_builder.ingest_new(*trace_ring);
@@ -681,6 +656,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(v_invalid),
               static_cast<unsigned long long>(v_hashes));
   for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
+    // No wall-clock figures here: the results table must diff bit-identical
+    // across same-seed runs (verify_batch_ns is exported as a histogram
+    // under --metrics instead).
     const auto rs = relay_nodes[i]->snapshot();
     std::printf("relay %zu:        forwarded=%llu verified=%llu dropped=%llu "
                 "hash-ops=%llu buffered=%zuB\n",
@@ -689,25 +667,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(rs.relay.dropped_invalid +
                                                 rs.relay.dropped_unsolicited),
                 static_cast<unsigned long long>(rs.relay.hashes.total()),
-                relay_nodes[i]->relay(0).buffered_bytes());
-  }
-  for (std::size_t i = 0; i < sharded_relay_nodes.size(); ++i) {
-    const auto rs = sharded_relay_nodes[i]->snapshot();
-    std::size_t pending = 0;
-    for (const auto& ss : sharded_relay_nodes[i]->shard_stats()) {
-      pending += ss.relay_pending;
-    }
-    // No wall-clock figures here: the default results table must diff
-    // bit-identical across same-seed runs (verify_batch_ns is exported as
-    // a histogram under --metrics instead).
-    std::printf("relay %zu:        forwarded=%llu verified=%llu dropped=%llu "
-                "hash-ops=%llu workers=%u batch=%zu pending=%zu\n",
-                i, static_cast<unsigned long long>(rs.relay.forwarded),
-                static_cast<unsigned long long>(rs.relay.messages_extracted),
-                static_cast<unsigned long long>(rs.relay.dropped_invalid +
-                                                rs.relay.dropped_unsolicited),
-                static_cast<unsigned long long>(rs.relay.hashes.total()),
-                relay_workers, relay_batch, pending);
+                rs.relay_buffered_bytes);
   }
   std::printf("runtime:        frames in=%llu out=%llu demux-misses=%llu "
               "timer-fires=%llu accepted-handshakes=%llu\n",
@@ -813,8 +773,8 @@ int main(int argc, char** argv) {
     // Relay verify-batch latency is cumulative over the run, so merge it
     // once here rather than per scrape (merging in the refresh would
     // double-count samples on every poll).
-    for (std::size_t i = 0; i < sharded_relay_nodes.size(); ++i) {
-      const auto rs = sharded_relay_nodes[i]->snapshot();
+    for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
+      const auto rs = relay_nodes[i]->snapshot();
       if (rs.relay.verify_batch_ns.count() > 0) {
         registry
             .histogram("alpha_relay_verify_batch_ns",
