@@ -29,7 +29,7 @@
 
 #include "bench_util.hpp"
 #include "core/adapt.hpp"
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "net/network.hpp"
 #include "trace/trace.hpp"
 
@@ -247,27 +247,20 @@ Row run_one(const Scenario& scenario, const core::Config& config,
   constexpr std::uint32_t kAssoc = 1;
   std::size_t delivered = 0;
 
-  core::ShardedNode::Options a_opts;
-  a_opts.shard.config = config;
-  a_opts.shard.seed = 7;
-  if (adaptive) a_opts.shard.adaptive = controller_options();
-  a_opts.workers = 1;
-  core::ShardedNode a{std::make_unique<net::SimTransport>(network, 0),
-                      a_opts, {}};
-
-  core::ShardedNode::Options b_opts;
-  b_opts.shard.config = config;
-  b_opts.shard.seed = 8;
-  b_opts.shard.accept_inbound = true;
-  b_opts.workers = 1;
-  core::ShardedNode::Callbacks b_cbs;
-  b_cbs.on_message = [&delivered](std::uint32_t, crypto::ByteView) {
+  core::ProtectedPath::End a_end;
+  a_end.options.shard.config = config;
+  if (adaptive) a_end.options.shard.adaptive = controller_options();
+  core::ProtectedPath::End b_end;
+  b_end.options.shard.config = config;
+  b_end.options.shard.accept_inbound = true;
+  b_end.callbacks.on_message = [&delivered](std::uint32_t, crypto::ByteView) {
     ++delivered;
   };
-  core::ShardedNode b{std::make_unique<net::SimTransport>(network, 1),
-                      b_opts, b_cbs};
+  core::ProtectedPath path{network, {0, 1}, /*seed=*/7, std::move(a_end),
+                           std::move(b_end), core::ProtectedPath::Relays{}};
+  core::ShardedNode& a = path.initiator_node();
 
-  a.add_initiator(kAssoc, /*peer=*/1);
+  a.add_initiator(kAssoc, path.next_hop());
   a.start(kAssoc);
   sim.run_until(3 * kSecond);
 

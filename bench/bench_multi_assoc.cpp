@@ -1,16 +1,17 @@
 // Node-runtime scalability with concurrent associations.
 //
-// One node-runtime pair (ShardedNode, one shard each) over the deterministic simulator: node A runs N
-// initiator associations, node B accepts every inbound handshake on demand,
-// and all frames share one fat link. Measures what the multi-association
-// runtime adds on top of the engines: establishment throughput, message
-// throughput across all associations, and the per-frame demux overhead of
-// the assoc-id peek + map lookup hot path.
+// One node-runtime pair (ProtectedPath, one shard each) over the
+// deterministic simulator: node A runs N initiator associations, node B
+// accepts every inbound handshake on demand, and all frames share one fat
+// link. Measures what the multi-association runtime adds on top of the
+// engines: establishment throughput, message throughput across all
+// associations, and the per-frame demux overhead of the assoc-id peek +
+// map lookup hot path.
 #include <chrono>
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "net/network.hpp"
 
 using namespace alpha;
@@ -48,21 +49,19 @@ Row run(std::size_t n) {
   config.chain_length = 64;
   config.batch_size = kMessagesPerAssoc;  // one full round per association
 
-  core::ShardedNode::Options a_opts;
-  a_opts.shard.config = config;
-  a_opts.shard.seed = 42;
-  core::ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
-                           a_opts};
-
-  core::ShardedNode::Options b_opts;
-  b_opts.shard.config = config;
-  b_opts.shard.seed = 43;
-  b_opts.shard.accept_inbound = true;
+  core::ProtectedPath::End a_end;
+  a_end.options.shard.config = config;
+  core::ProtectedPath::End b_end;
+  b_end.options.shard.config = config;
+  b_end.options.shard.accept_inbound = true;
   std::size_t delivered = 0;
-  core::ShardedNode::Callbacks b_cbs;
-  b_cbs.on_message = [&](std::uint32_t, crypto::ByteView) { ++delivered; };
-  core::ShardedNode node_b{std::make_unique<net::SimTransport>(network, 1),
-                           b_opts, b_cbs};
+  b_end.callbacks.on_message = [&](std::uint32_t, crypto::ByteView) {
+    ++delivered;
+  };
+  core::ProtectedPath path{network, {0, 1}, /*seed=*/42, std::move(a_end),
+                           std::move(b_end), core::ProtectedPath::Relays{}};
+  core::ShardedNode& node_a = path.initiator_node();
+  core::ShardedNode& node_b = path.responder_node();
 
   Row row;
   row.assocs = n;
@@ -71,7 +70,7 @@ Row run(std::size_t n) {
   const auto t0 = WallClock::now();
   for (std::size_t a = 0; a < n; ++a) {
     const auto assoc_id = static_cast<std::uint32_t>(a + 1);
-    node_a.add_initiator(assoc_id, /*peer=*/1, config);
+    node_a.add_initiator(assoc_id, path.next_hop(), config);
     node_a.start(assoc_id);
   }
   while (node_a.established_count() < n &&

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "net/network.hpp"
 #include "net/transport.hpp"
 
@@ -72,22 +72,20 @@ AssocRow run_assoc_sweep(std::size_t n, std::uint32_t workers) {
   config.chain_length = 16;
   config.batch_size = 1;
 
-  core::ShardedNode::Options a_opts;
-  a_opts.shard.config = config;
-  a_opts.shard.seed = 42;
-  a_opts.workers = workers;
-  core::ShardedNode node_a{std::make_unique<net::SimTransport>(network, 0),
-                           a_opts};
-
+  core::ProtectedPath::End a_end;
+  a_end.options.shard.config = config;
+  a_end.options.workers = workers;
   std::size_t delivered = 0;
-  core::ShardedNode::Callbacks b_cbs;
-  b_cbs.on_message = [&](std::uint32_t, crypto::ByteView) { ++delivered; };
-  core::ShardedNode::Options b_opts;
-  b_opts.shard.config = config;
-  b_opts.shard.seed = 43;
-  b_opts.shard.accept_inbound = true;
-  core::ShardedNode node_b{std::make_unique<net::SimTransport>(network, 1),
-                           b_opts, b_cbs};
+  core::ProtectedPath::End b_end;
+  b_end.options.shard.config = config;
+  b_end.options.shard.accept_inbound = true;
+  b_end.callbacks.on_message = [&](std::uint32_t, crypto::ByteView) {
+    ++delivered;
+  };
+  core::ProtectedPath path{network, {0, 1}, /*seed=*/42, std::move(a_end),
+                           std::move(b_end), core::ProtectedPath::Relays{}};
+  core::ShardedNode& node_a = path.initiator_node();
+  core::ShardedNode& node_b = path.responder_node();
 
   AssocRow row;
   row.assocs = n;
@@ -102,7 +100,7 @@ AssocRow run_assoc_sweep(std::size_t n, std::uint32_t workers) {
     const std::size_t end = base + kWave < n ? base + kWave : n;
     for (std::size_t a = base; a < end; ++a) {
       const auto assoc_id = static_cast<std::uint32_t>(a + 1);
-      node_a.add_initiator(assoc_id, /*peer=*/1, config, {});
+      node_a.add_initiator(assoc_id, path.next_hop(), config);
       node_a.start(assoc_id);
     }
     while (node_a.established_count() < end &&

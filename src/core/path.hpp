@@ -1,18 +1,20 @@
-// Protected path over the simulated network.
+// Protected path over the simulated network: the one builder of a
+// simulated src -> relays -> dst topology (paper Fig. 1: signer s, relays
+// r_i, verifier v).
 //
-// Convenience binding of the node runtime onto a linear net::Network path:
-// a one-shard ShardedNode per path node -- the initiator Host at one end,
-// the responder at the other, a relay binding on every interior node
-// (paper Fig. 1: signer s, relays r_i, verifier v). Frames travel
-// hop-by-hop; relays verify-and-forward (a RelayPipeline flushing every
-// frame), ends run the full handshake + signature exchange. The simulator
-// drives every node inline, so a caller may also drive the end Hosts
-// directly: their frames reach the network synchronously. Retransmissions
-// are driven by each node's timer wheel through the simulator's event
-// queue -- there is no hand-wired tick loop; just run the simulator.
+// One SimTransport-backed ShardedNode per node of a linear net::Network
+// path: the initiator at path.front(), the responder at path.back(), and a
+// relay binding on every interior node between its two neighbours. The
+// simulator drives every node inline, so frames a caller makes by driving
+// an end Host directly reach the network synchronously, and each node's
+// timer wheel drives retransmissions through the simulator's event queue.
 //
-// This is the setup used by the integration tests, the examples and the
-// latency/attack benches.
+// The builder owns only the wiring. Each role brings the ShardedNode
+// options and callbacks (relays: the add_relay arguments) its caller would
+// pass by hand; the builder adds the transports, the relay directions and
+// the seed/trace-origin layout: the initiator draws chain material from
+// `seed`, the responder from `seed + 1` (relays draw none), and every node
+// stamps trace events with its simulator node id.
 #pragma once
 
 #include <memory>
@@ -25,16 +27,38 @@ namespace alpha::core {
 
 class ProtectedPath {
  public:
-  /// Binds engines to the nodes in `path` (length >= 2). The nodes and links
-  /// must already exist in `network`. Seeds derive the hosts' chain material.
+  /// One end of the path: its node runtime options and callbacks.
+  struct End {
+    ShardedNode::Options options;
+    ShardedNode::Callbacks callbacks;
+  };
+
+  /// Every interior node: its runtime options and the ShardedNode::add_relay
+  /// arguments it binds with (extractions reach set_extraction_handler).
+  struct Relays {
+    ShardedNode::Options options;
+    std::vector<std::uint32_t> assoc_ids;
+    std::size_t relay_batch = 32;
+    RelayEngine::Options relay_options;
+  };
+
+  /// Wiring only, no association: one node runtime per entry of `path`
+  /// (length >= 2), whose nodes and links must already exist in `network`.
+  ProtectedPath(net::Network& network, std::vector<net::NodeId> path,
+                std::uint64_t seed, End initiator, End responder,
+                Relays relays);
+
+  /// One pre-provisioned association `assoc_id` under `config` over
+  /// one-shard nodes and flush-per-frame relays, recording what the ends
+  /// deliver.
   ProtectedPath(net::Network& network, std::vector<net::NodeId> path,
                 Config config, std::uint32_t assoc_id, std::uint64_t seed,
                 Host::Options initiator_opts = Host::Options{},
                 Host::Options responder_opts = Host::Options{},
                 RelayEngine::Options relay_opts = RelayEngine::Options{});
 
-  /// Sends the HS1. Retransmission timers arm themselves on activity and
-  /// disarm when idle.
+  /// Sends the HS1 of the single association. Retransmission timers arm
+  /// themselves on activity and disarm when idle.
   void start();
 
   /// Handler invoked whenever a relay securely extracts an authenticated
@@ -46,6 +70,7 @@ class ProtectedPath {
     extraction_handler_ = std::move(handler);
   }
 
+  /// The single association's end hosts (single-association constructor).
   Host& initiator() noexcept { return *initiator_; }
   Host& responder() noexcept { return *responder_; }
   std::size_t relay_count() const noexcept { return nodes_.size() - 2; }
@@ -55,8 +80,13 @@ class ProtectedPath {
   /// Node runtimes along the path (index parallel to the node list).
   std::size_t node_count() const noexcept { return nodes_.size(); }
   ShardedNode& node(std::size_t i) { return *nodes_.at(i); }
+  ShardedNode& initiator_node() { return *nodes_.front(); }
+  ShardedNode& responder_node() { return *nodes_.back(); }
+  /// The initiator's peer: the first hop toward the responder.
+  net::NodeId next_hop() const noexcept { return path_[1]; }
 
-  /// Messages delivered to the responder's application.
+  /// Messages delivered to the ends' applications (single-association
+  /// constructor).
   const std::vector<crypto::Bytes>& delivered_to_responder() const noexcept {
     return at_responder_;
   }
@@ -70,7 +100,7 @@ class ProtectedPath {
 
  private:
   std::vector<net::NodeId> path_;
-  std::uint32_t assoc_id_;
+  std::uint32_t assoc_id_ = 0;
   std::vector<std::unique_ptr<ShardedNode>> nodes_;
   Host* initiator_ = nullptr;
   Host* responder_ = nullptr;

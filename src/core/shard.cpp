@@ -1,5 +1,7 @@
 #include "core/shard.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "trace/trace.hpp"
@@ -7,10 +9,9 @@
 namespace alpha::core {
 
 namespace {
-std::uint64_t derive_granularity(const NodeShard::Options& options) {
-  if (options.tick_granularity_us != 0) return options.tick_granularity_us;
-  return std::max<std::uint64_t>(options.config.rto_us / 2, 1);
-}
+/// Timer wheel ring size: one revolution spans 256 * rto/2; later deadlines
+/// are re-queued for a further lap.
+constexpr std::size_t kWheelSlots = 256;
 }  // namespace
 
 NodeShard::NodeShard(std::uint32_t index, Options options, Callbacks callbacks,
@@ -22,8 +23,9 @@ NodeShard::NodeShard(std::uint32_t index, Options options, Callbacks callbacks,
       wakeup_(std::move(wakeup)),
       send_view_(std::move(send_view)),
       rng_(options_.seed),
-      tick_granularity_(derive_granularity(options_)),
-      wheel_(tick_granularity_, options_.wheel_slots) {
+      // Half an RTO, so a retransmission fires at most rto/2 late.
+      tick_granularity_(std::max<std::uint64_t>(options_.config.rto_us / 2, 1)),
+      wheel_(tick_granularity_, kWheelSlots) {
   if (!send_) {
     throw std::invalid_argument("NodeShard: null send function");
   }
@@ -320,18 +322,6 @@ void NodeShard::maybe_adapt(AssocEntry& entry, std::uint64_t now_us) {
   if (const auto decision = entry.controller->observe(sig, now_us)) {
     host.request_reconfig(decision->target, now_us);
   }
-  // Live alpha_adapt_* series next to the span histograms, so one scrape of
-  // the registry explains the loop's state.
-  adapt_registry_.counter("alpha_adapt_evaluations", label) =
-      entry.controller->evaluations();
-  adapt_registry_.counter("alpha_adapt_switches", label) =
-      entry.controller->switches();
-  adapt_registry_.counter("alpha_adapt_profile", label) =
-      entry.controller->profile_index();
-  adapt_registry_.counter("alpha_adapt_loss_permille", label) =
-      static_cast<std::uint64_t>(entry.controller->loss_ewma() * 1000.0);
-  adapt_registry_.counter("alpha_adapt_reconfigs_applied", label) =
-      host.reconfigs_applied();
 }
 
 void NodeShard::arm_timer(AssocEntry& entry, std::uint64_t now_us) {
@@ -372,6 +362,35 @@ void NodeShard::advance_timers(std::uint64_t now_us) {
   // wakeup costs one cheap advance() pass, nothing more. Worker-polled
   // shards (no wakeup function) call advance_timers continuously instead.
   if (wakeup_ && !wheel_.empty()) wakeup_(now_us + tick_granularity_);
+}
+
+void NodeSnapshot::merge(NodeSnapshot&& fragment) {
+  frames_in += fragment.frames_in;
+  frames_out += fragment.frames_out;
+  malformed_frames += fragment.malformed_frames;
+  demux_misses += fragment.demux_misses;
+  send_failures += fragment.send_failures;
+  accepted_handshakes += fragment.accepted_handshakes;
+  timer_fires += fragment.timer_fires;
+  rekeys_started += fragment.rekeys_started;
+  associations += fragment.associations;
+  established += fragment.established;
+  failed += fragment.failed;
+  messages_delivered += fragment.messages_delivered;
+  messages_forged += fragment.messages_forged;
+  corrupt_frames += fragment.corrupt_frames;
+  duplicate_frames += fragment.duplicate_frames;
+  replayed_handshakes += fragment.replayed_handshakes;
+  duplicate_handshakes += fragment.duplicate_handshakes;
+  retransmits += fragment.retransmits;
+  ring_overflows += fragment.ring_overflows;
+  adapt_evaluations += fragment.adapt_evaluations;
+  adapt_switches += fragment.adapt_switches;
+  reconfigs_applied += fragment.reconfigs_applied;
+  relay += fragment.relay;
+  relay_buffered_bytes += fragment.relay_buffered_bytes;
+  assocs.insert(assocs.end(), std::make_move_iterator(fragment.assocs.begin()),
+                std::make_move_iterator(fragment.assocs.end()));
 }
 
 void NodeShard::snapshot_into(NodeSnapshot& s, bool per_assoc) const {

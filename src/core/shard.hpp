@@ -99,13 +99,17 @@ struct NodeSnapshot {
   RelayStats relay;                      // summed over relay bindings
   std::size_t relay_buffered_bytes = 0;  // relay memory, summed likewise
   std::vector<AssocSnapshot> assocs;     // filled when requested
+
+  /// Adds one shard's fragment into this node-level view: every counter
+  /// summed, per-assoc detail appended. The one merge both drives use.
+  void merge(NodeSnapshot&& fragment);
 };
 
 class NodeShard {
  public:
   struct Options {
     /// Protocol profile for accepted inbound associations; also the source
-    /// of the default timer granularity (rto_us / 2).
+    /// of the timer wheel granularity (rto_us / 2).
     Config config;
     /// Host options for accepted inbound associations.
     Host::Options accept_host_options;
@@ -114,10 +118,6 @@ class NodeShard {
     bool accept_inbound = false;
     /// Seeds the shard's chain-material RNG (deterministic per seed).
     std::uint64_t seed = 1;
-    /// Timer wheel resolution; 0 derives config.rto_us / 2.
-    std::uint64_t tick_granularity_us = 0;
-    /// Timer wheel ring size (horizon = granularity * slots).
-    std::size_t wheel_slots = 256;
     /// Origin id stamped on trace events emitted while this shard runs.
     std::uint8_t trace_origin = 0;
     /// Enables the closed adaptivity loop: every *initiator* host gets an
@@ -222,13 +222,6 @@ class NodeShard {
   /// `s`. Called from the owning thread only; ShardedNode routes snapshot
   /// requests through the shard's ring to honor that.
   void snapshot_into(NodeSnapshot& s, bool per_assoc) const;
-
-  /// Telemetry registry backing the adaptivity loop: per-assoc span
-  /// histograms the controllers read, plus live alpha_adapt_* series.
-  /// Owner-thread access only (same rule as snapshot_into).
-  const metrics::Registry& adapt_registry() const noexcept {
-    return adapt_registry_;
-  }
 
  private:
   struct AssocEntry {

@@ -16,6 +16,8 @@ constexpr std::size_t kIoBatch = 32;
 /// round-trips stay well under the protocol RTO, long enough that an idle
 /// node does not monopolize a core (the CI containers are small).
 constexpr auto kIdleNap = std::chrono::microseconds(50);
+/// Slots per in/out/control ring (threaded drive).
+constexpr std::size_t kRingCapacity = 1024;
 
 NodeShard::Options shard_options(const ShardedNode::Options& options,
                                  std::uint32_t index) {
@@ -44,9 +46,9 @@ ShardedNode::ShardedNode(std::unique_ptr<net::Transport> transport,
     NodeShard::SendViewFn send_view;
     NodeShard::WakeupFn wakeup;
     if (threaded_) {
-      sh->in = std::make_unique<FrameRing>(options_.ring_capacity);
-      sh->ctrl = std::make_unique<FrameRing>(options_.ring_capacity);
-      sh->out = std::make_unique<FrameRing>(options_.ring_capacity);
+      sh->in = std::make_unique<FrameRing>(kRingCapacity);
+      sh->ctrl = std::make_unique<FrameRing>(kRingCapacity);
+      sh->out = std::make_unique<FrameRing>(kRingCapacity);
       // Outbound frames never leave the worker thread directly: they queue
       // on the shard's out-ring for the I/O thread. A full ring is a send
       // failure the shard counts -- explicit backpressure instead of an
@@ -248,54 +250,31 @@ std::size_t ShardedNode::association_count() {
 }
 
 NodeSnapshot ShardedNode::snapshot(bool per_assoc) {
-  NodeSnapshot s;
-  if (!threaded_ || !running_.load(std::memory_order_relaxed)) {
-    for (const auto& sh : shards_) sh->node->snapshot_into(s, per_assoc);
-  } else {
-    // Shard state belongs to its worker: route the request through each
-    // control ring and collect the fragments from the mailboxes. Requests
-    // fan out first so the shards snapshot concurrently.
-    for (auto& sh : shards_) {
-      sh->frag = NodeSnapshot{};
-      sh->frag_per_assoc = per_assoc;
-      sh->frag_ready.store(false, std::memory_order_release);
-      while (!sh->ctrl->try_push(FrameSlot::Kind::kSnapshot, 0,
-                                 transport_->now_us(), 0, {})) {
-        std::this_thread::sleep_for(kIdleNap);
-      }
+  // Shard state belongs to its owner: with workers running, route the
+  // request through each control ring and collect the fragments from the
+  // mailboxes (requests fan out first so the shards snapshot concurrently);
+  // otherwise read each shard here. Either way one merge sums them.
+  const bool via_rings = threaded_ && running_.load(std::memory_order_relaxed);
+  for (auto& sh : shards_) {
+    sh->frag = NodeSnapshot{};
+    sh->frag_per_assoc = per_assoc;
+    if (!via_rings) {
+      sh->node->snapshot_into(sh->frag, per_assoc);
+      continue;
     }
-    for (auto& sh : shards_) {
-      while (!sh->frag_ready.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(kIdleNap);
-      }
-      s.frames_in += sh->frag.frames_in;
-      s.frames_out += sh->frag.frames_out;
-      s.malformed_frames += sh->frag.malformed_frames;
-      s.demux_misses += sh->frag.demux_misses;
-      s.send_failures += sh->frag.send_failures;
-      s.accepted_handshakes += sh->frag.accepted_handshakes;
-      s.timer_fires += sh->frag.timer_fires;
-      s.rekeys_started += sh->frag.rekeys_started;
-      s.associations += sh->frag.associations;
-      s.established += sh->frag.established;
-      s.failed += sh->frag.failed;
-      s.messages_delivered += sh->frag.messages_delivered;
-      s.messages_forged += sh->frag.messages_forged;
-      s.corrupt_frames += sh->frag.corrupt_frames;
-      s.duplicate_frames += sh->frag.duplicate_frames;
-      s.replayed_handshakes += sh->frag.replayed_handshakes;
-      s.duplicate_handshakes += sh->frag.duplicate_handshakes;
-      s.retransmits += sh->frag.retransmits;
-      s.relay += sh->frag.relay;
-      s.relay_buffered_bytes += sh->frag.relay_buffered_bytes;
-      if (per_assoc) {
-        s.assocs.insert(s.assocs.end(), sh->frag.assocs.begin(),
-                        sh->frag.assocs.end());
-      }
+    sh->frag_ready.store(false, std::memory_order_release);
+    while (!sh->ctrl->try_push(FrameSlot::Kind::kSnapshot, 0,
+                               transport_->now_us(), 0, {})) {
+      std::this_thread::sleep_for(kIdleNap);
     }
   }
-  if (threaded_) {
-    for (const auto& sh : shards_) {
+  NodeSnapshot s;
+  for (auto& sh : shards_) {
+    while (via_rings && !sh->frag_ready.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(kIdleNap);
+    }
+    s.merge(std::move(sh->frag));
+    if (threaded_) {
       s.ring_overflows += sh->in->overflows() + sh->out->overflows();
     }
   }

@@ -45,10 +45,10 @@
 // count. (The simulator's virtual clock cannot be shared across threads,
 // so it always drives inline.)
 //
-// Scrape-time aggregation: snapshot() merges per-shard counters on demand
-// (the threaded drive round-trips a request through each shard's control
-// ring so shard state is only ever touched by its owner); nothing
-// cross-shard is maintained on the hot path.
+// Scrape-time aggregation: snapshot() merges per-shard fragments on demand
+// with NodeSnapshot::merge in both drives (the threaded drive round-trips a
+// request through each shard's control ring so shard state is only ever
+// touched by its owner); nothing cross-shard is maintained on the hot path.
 //
 // Relay bindings shard by association id, exactly like hosts: relay state
 // (chain verifiers, buffered pre-signatures, round memos) is keyed purely
@@ -84,9 +84,6 @@ class ShardedNode {
     /// sockets, running the shard on the thread that calls poll(). The
     /// simulator always drives inline, so there 0 and 1 behave the same.
     std::uint32_t workers = 1;
-    /// Capacity of each in/out ring (rounded up to a power of two).
-    /// Threaded drive only.
-    std::size_t ring_capacity = 1024;
     /// Runs at the top of each worker thread (threaded drive only), before
     /// any frame is processed -- the hook for installing thread-local trace
     /// sinks. Called with the shard index.
@@ -223,8 +220,9 @@ class ShardedNode {
     std::unique_ptr<FrameRing> ctrl;  // supervisor -> worker (control ops)
     std::unique_ptr<FrameRing> out;   // worker -> I/O thread
     std::atomic<std::uint64_t> frames_routed{0};
-    // Snapshot mailbox: supervisor arms `ready=false`, pushes a kSnapshot
-    // slot, spins; the worker fills `frag` and releases `ready`.
+    // Snapshot fragment. Threaded drive: the supervisor arms
+    // `ready=false`, pushes a kSnapshot slot, spins; the worker fills
+    // `frag` and releases `ready`. Inline: filled on the caller's thread.
     NodeSnapshot frag;
     bool frag_per_assoc = false;
     std::atomic<bool> frag_ready{true};

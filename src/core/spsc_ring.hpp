@@ -15,11 +15,10 @@
 // avoid re-reading the shared atomic on every operation (it only refreshes
 // when the cached value says "full"/"empty").
 //
-// FrameRing specializes the idea for wire frames: every slot owns a
-// reusable byte buffer that grows to the largest frame it ever carried and
-// is never shrunk, so after warmup a push is a memcpy into recycled storage
-// -- the 0 allocs/op guarantee of the PR 3/4 hot path extends across the
-// thread hop.
+// FrameRing carries wire frames: every slot owns a reusable byte buffer
+// that grows to the largest frame it ever carried and is never shrunk, so
+// after warmup a push is a memcpy into recycled storage -- the 0 allocs/op
+// guarantee of the PR 3/4 hot path extends across the thread hop.
 #pragma once
 
 #include <atomic>
@@ -43,59 +42,6 @@ constexpr std::size_t round_up_pow2(std::size_t n) noexcept {
   return p;
 }
 }  // namespace detail
-
-/// Generic SPSC ring of movable values. One thread calls try_push, one
-/// thread calls try_pop; any other combination is a data race by contract.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity)
-      : buf_(detail::round_up_pow2(capacity < 2 ? 2 : capacity)),
-        mask_(buf_.size() - 1) {}
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  /// Producer side. Returns false (and leaves `v` untouched) when full.
-  bool try_push(T&& v) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - cached_tail_ >= buf_.size()) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head - cached_tail_ >= buf_.size()) return false;
-    }
-    buf_[head & mask_] = std::move(v);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns false when empty.
-  bool try_pop(T& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (cached_head_ == tail) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (cached_head_ == tail) return false;
-    }
-    out = std::move(buf_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::size_t capacity() const noexcept { return buf_.size(); }
-  /// Approximate depth; exact only from the producer or consumer thread.
-  std::size_t size_approx() const noexcept {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return head >= tail ? static_cast<std::size_t>(head - tail) : 0;
-  }
-
- private:
-  std::vector<T> buf_;
-  std::uint64_t mask_;
-  alignas(kCacheLine) std::atomic<std::uint64_t> head_{0};
-  alignas(kCacheLine) std::uint64_t cached_tail_ = 0;   // producer-owned
-  alignas(kCacheLine) std::atomic<std::uint64_t> tail_{0};
-  alignas(kCacheLine) std::uint64_t cached_head_ = 0;   // consumer-owned
-};
 
 /// One entry handed between the I/O thread and a shard worker. `kind`
 /// multiplexes data frames with the rare control operations that must

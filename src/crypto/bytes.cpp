@@ -1,5 +1,6 @@
 #include "crypto/bytes.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace alpha::crypto {
@@ -66,6 +67,26 @@ ByteView as_bytes(std::string_view s) noexcept {
 
 void append(Bytes& dst, ByteView src) {
   dst.insert(dst.end(), src.begin(), src.end());
+}
+
+std::uint32_t crc32(ByteView data, std::uint32_t seed) noexcept {
+  // Built on first use, so the library carries no 1 KiB static initializer.
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = seed ^ 0xffffffffu;
+  for (const std::uint8_t b : data) {
+    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
+  }
+  return crc ^ 0xffffffffu;
 }
 
 }  // namespace alpha::crypto

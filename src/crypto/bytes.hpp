@@ -40,4 +40,10 @@ ByteView as_bytes(std::string_view s) noexcept;
 /// Appends `src` to `dst`.
 void append(Bytes& dst, ByteView src);
 
+/// CRC-32 (IEEE 802.3; reflected polynomial 0xEDB88320, equal to Python's
+/// zlib.crc32) over `data`, continuing from `seed`, the CRC of the bytes
+/// before it: crc32(b, crc32(a)) == crc32(a || b). It is the wire frame
+/// trailer and the flight-recording header checksum.
+std::uint32_t crc32(ByteView data, std::uint32_t seed = 0) noexcept;
+
 }  // namespace alpha::crypto

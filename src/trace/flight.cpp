@@ -1,5 +1,6 @@
 #include "trace/flight.hpp"
 
+#include "crypto/bytes.hpp"
 #include "trace/build_info.hpp"
 
 #include <fcntl.h>
@@ -9,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <csignal>
@@ -23,38 +23,6 @@ namespace alpha::trace {
 
 // ---------------------------------------------------------------------------
 // Checksums.
-
-namespace {
-
-// CRC-32 (reflected, poly 0xEDB88320) == Python zlib.crc32; table built on
-// first use so the library carries no 1 KiB static initializer.
-const std::uint32_t* crc32_table() noexcept {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table.data();
-}
-
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t len,
-                    std::uint32_t seed) noexcept {
-  const std::uint32_t* table = crc32_table();
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
 
 std::uint64_t fnv1a64(const void* data, std::size_t len) noexcept {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -90,7 +58,8 @@ std::uint32_t header_identity_crc(const FlightHeader& h) noexcept {
   canon.metrics_offset = 0;
   canon.metrics_bytes = 0;
   canon.identity_crc = 0;
-  return crc32(&canon, sizeof(canon));
+  return crypto::crc32(
+      {reinterpret_cast<const std::uint8_t*>(&canon), sizeof(canon)});
 }
 
 bool make_dirs(const std::string& path) noexcept {
@@ -208,7 +177,8 @@ void FlightRecorder::write_metrics_blob() {
   std::memcpy(map_ + offset, text.data(), n);
   header_->metrics_offset = offset;
   header_->metrics_bytes = n;
-  header_->metrics_crc = crc32(text.data(), n);
+  header_->metrics_crc =
+      crypto::crc32({reinterpret_cast<const std::uint8_t*>(text.data()), n});
 }
 
 void FlightRecorder::close_segment(bool mark_finalized) {
@@ -463,7 +433,8 @@ bool read_flight_segment(const std::string& path, FlightSegment& out,
     std::string text(static_cast<std::size_t>(h.metrics_bytes), '\0');
     if (pread_exact(fd, text.data(), text.size(),
                     static_cast<off_t>(h.metrics_offset))) {
-      out.metrics_valid = crc32(text.data(), text.size()) == h.metrics_crc;
+      out.metrics_valid =
+          crypto::crc32(crypto::as_bytes(text)) == h.metrics_crc;
       if (out.metrics_valid) out.metrics_text = std::move(text);
     }
   }

@@ -70,11 +70,6 @@ struct FlightHeader {
 };
 static_assert(sizeof(FlightHeader) == 256, "recording format is versioned");
 
-/// CRC-32 (IEEE 802.3, the zlib polynomial) so scripts/check_flight.py can
-/// validate recordings with Python's zlib.crc32 directly.
-std::uint32_t crc32(const void* data, std::size_t len,
-                    std::uint32_t seed = 0) noexcept;
-
 /// FNV-1a 64-bit, for config digests stamped into headers.
 std::uint64_t fnv1a64(const void* data, std::size_t len) noexcept;
 inline std::uint64_t fnv1a64(const std::string& s) noexcept {

@@ -1,7 +1,5 @@
 #include "wire/packets.hpp"
 
-#include <array>
-
 #include "wire/codec.hpp"
 
 namespace alpha::wire {
@@ -80,25 +78,6 @@ AckScheme read_scheme(Reader& r) {
 }
 
 }  // namespace
-
-std::uint32_t frame_checksum(ByteView data) noexcept {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xffffffffu;
-  for (const std::uint8_t b : data) {
-    crc = table[(crc ^ b) & 0xffu] ^ (crc >> 8);
-  }
-  return crc ^ 0xffffffffu;
-}
 
 merkle::AuthPath WirePath::to_auth_path() const {
   merkle::AuthPath path;

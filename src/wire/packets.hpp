@@ -57,7 +57,9 @@ constexpr std::uint8_t kWireVersion = 1;
 constexpr std::size_t kFrameChecksumSize = 4;
 
 /// CRC-32 (IEEE 802.3) over `data`; appended big-endian to every frame.
-std::uint32_t frame_checksum(ByteView data) noexcept;
+inline std::uint32_t frame_checksum(ByteView data) noexcept {
+  return crypto::crc32(data);
+}
 
 /// Common packet header.
 struct Header {

@@ -16,7 +16,7 @@
 #include <set>
 #include <vector>
 
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "net/network.hpp"
 #include "../support/seed.hpp"
 
@@ -106,26 +106,23 @@ AdaptiveRunResult adaptive_run(std::uint32_t workers,
   const Config config = adaptive_config();
   std::map<std::uint32_t, std::size_t> delivered;
 
-  ShardedNode::Options a_opts;
-  a_opts.shard.config = config;
-  a_opts.shard.seed = 7;
-  a_opts.shard.adaptive = controller_options();
-  a_opts.workers = workers;
-  ShardedNode a{std::make_unique<net::SimTransport>(network, 0), a_opts, {}};
-
-  ShardedNode::Options b_opts;
-  b_opts.shard.config = config;
-  b_opts.shard.seed = 8;
-  b_opts.shard.accept_inbound = true;
-  b_opts.workers = workers;
-  ShardedNode::Callbacks b_cbs;
-  b_cbs.on_message = [&delivered](std::uint32_t assoc, crypto::ByteView) {
+  ProtectedPath::End a_end;
+  a_end.options.shard.config = config;
+  a_end.options.shard.adaptive = controller_options();
+  a_end.options.workers = workers;
+  ProtectedPath::End b_end;
+  b_end.options.shard.config = config;
+  b_end.options.shard.accept_inbound = true;
+  b_end.options.workers = workers;
+  b_end.callbacks.on_message = [&delivered](std::uint32_t assoc,
+                                            crypto::ByteView) {
     ++delivered[assoc];
   };
-  ShardedNode b{std::make_unique<net::SimTransport>(network, 1), b_opts,
-                b_cbs};
+  ProtectedPath path{network, {0, 1}, /*seed=*/7, std::move(a_end),
+                     std::move(b_end), ProtectedPath::Relays{}};
+  ShardedNode& a = path.initiator_node();
 
-  for (const auto id : ids) a.add_initiator(id, /*peer=*/1);
+  for (const auto id : ids) a.add_initiator(id, path.next_hop());
   for (const auto id : ids) a.start(id);
   sim.run_until(10 * kSecond);
   EXPECT_EQ(a.established_count(), ids.size());

@@ -14,9 +14,11 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
+#include "core/path.hpp"
 #include "net/network.hpp"
 #include "test_bus.hpp"
 
@@ -47,15 +49,16 @@ std::vector<std::uint32_t> assoc_ids(std::size_t n) {
 
 // ------------------------------------------------------------- inline mode
 
-/// Two ShardedNodes over the simulator: initiators at node 0, on-demand
-/// accepting responders at node 1.
+/// Two ShardedNodes over the simulator, wired by ProtectedPath: initiators
+/// at node 0, on-demand accepting responders at node 1.
 struct InlinePair {
   net::Simulator sim;
   net::Network network;
-  std::unique_ptr<ShardedNode> a;
-  std::unique_ptr<ShardedNode> b;
   std::map<std::uint32_t, std::vector<Bytes>> at_b;
   std::map<std::uint32_t, std::vector<std::uint64_t>> acked;
+  std::optional<ProtectedPath> path;
+  ShardedNode* a = nullptr;
+  ShardedNode* b = nullptr;
 
   explicit InlinePair(std::uint32_t workers, const Config& config,
                       std::uint64_t chaos_seed = 0,
@@ -71,29 +74,26 @@ struct InlinePair {
     network.add_link(0, 1, link);
     if (faults.any()) network.set_link_faults(0, 1, faults);
 
-    ShardedNode::Options a_opts;
-    a_opts.shard.config = config;
-    a_opts.shard.seed = 7;
-    a_opts.workers = workers;
-    ShardedNode::Callbacks a_cbs;
-    a_cbs.on_delivery = [this](std::uint32_t assoc, std::uint64_t cookie,
-                               DeliveryStatus status) {
+    ProtectedPath::End a_end;
+    a_end.options.shard.config = config;
+    a_end.options.workers = workers;
+    a_end.callbacks.on_delivery = [this](std::uint32_t assoc,
+                                         std::uint64_t cookie,
+                                         DeliveryStatus status) {
       if (status == DeliveryStatus::kAcked) acked[assoc].push_back(cookie);
     };
-    a = std::make_unique<ShardedNode>(
-        std::make_unique<net::SimTransport>(network, 0), a_opts, a_cbs);
-
-    ShardedNode::Options b_opts;
-    b_opts.shard.config = config;
-    b_opts.shard.seed = 8;
-    b_opts.shard.accept_inbound = true;
-    b_opts.workers = workers;
-    ShardedNode::Callbacks b_cbs;
-    b_cbs.on_message = [this](std::uint32_t assoc, crypto::ByteView payload) {
+    ProtectedPath::End b_end;
+    b_end.options.shard.config = config;
+    b_end.options.shard.accept_inbound = true;
+    b_end.options.workers = workers;
+    b_end.callbacks.on_message = [this](std::uint32_t assoc,
+                                        crypto::ByteView payload) {
       at_b[assoc].emplace_back(payload.begin(), payload.end());
     };
-    b = std::make_unique<ShardedNode>(
-        std::make_unique<net::SimTransport>(network, 1), b_opts, b_cbs);
+    path.emplace(network, std::vector<net::NodeId>{0, 1}, /*seed=*/7,
+                 std::move(a_end), std::move(b_end), ProtectedPath::Relays{});
+    a = &path->initiator_node();
+    b = &path->responder_node();
   }
 };
 
@@ -425,6 +425,58 @@ TEST(ShardedNodeThreadedTest, UdpPairEstablishesAndDelivers) {
   for (const auto& st : a.shard_stats()) routed += st.frames_routed;
   EXPECT_GT(routed, 0u);
   EXPECT_EQ(a.association_count(), ids.size());
+}
+
+TEST(ShardedNodeThreadedTest, SnapshotTotalsEqualPerAssociationSums) {
+  // Node totals equal the per-association sums in the threaded drive too:
+  // both drives sum the shard fragments with NodeSnapshot::merge.
+  const auto ids = assoc_ids(4);
+  ShardedNode::Options a_opts;
+  a_opts.shard.config = udp_config();
+  a_opts.shard.config.chain_length = 32;
+  a_opts.shard.config.rekey_threshold = 8;  // reconfigs land at rekeys
+  a_opts.shard.adaptive = AdaptiveController::Options{};
+  a_opts.shard.adaptive->interval_us = 20'000;
+  a_opts.shard.adaptive->promote_patience = 1;
+  a_opts.shard.adaptive->cooldown = 0;
+  a_opts.shard.adaptive->min_window_sends = 1;
+  a_opts.workers = 2;
+  ShardedNode::Options b_opts = a_opts;
+  b_opts.shard.accept_inbound = true;
+  b_opts.shard.adaptive.reset();
+  auto tb = std::make_unique<net::UdpTransport>();
+  const std::uint16_t port_b = tb->port();
+  ShardedNode a{std::make_unique<net::UdpTransport>(), a_opts};
+  ShardedNode b{std::move(tb), b_opts};
+  ASSERT_TRUE(a.threaded());
+  for (const auto id : ids) a.add_initiator(id, port_b);
+  for (const auto id : ids) a.start(id);
+
+  const auto sum_of = [](const NodeSnapshot& s, auto field) {
+    std::uint64_t sum = 0;
+    for (const auto& as : s.assocs) sum += as.*field;
+    return sum;
+  };
+  // Stream until every adaptivity counter moved on some association.
+  NodeSnapshot snap;
+  std::uint8_t fill = 0;
+  ASSERT_TRUE(wait_for(
+      [&] {
+        b.poll(5);
+        if (a.established_count() < ids.size()) return false;
+        for (const auto id : ids) a.submit(id, Bytes(32, fill));
+        ++fill;
+        snap = a.snapshot(/*per_assoc=*/true);
+        return sum_of(snap, &AssocSnapshot::adapt_evaluations) > 0 &&
+               sum_of(snap, &AssocSnapshot::adapt_switches) > 0 &&
+               sum_of(snap, &AssocSnapshot::reconfigs_applied) > 0;
+      },
+      20'000));
+  EXPECT_EQ(snap.adapt_evaluations,
+            sum_of(snap, &AssocSnapshot::adapt_evaluations));
+  EXPECT_EQ(snap.adapt_switches, sum_of(snap, &AssocSnapshot::adapt_switches));
+  EXPECT_EQ(snap.reconfigs_applied,
+            sum_of(snap, &AssocSnapshot::reconfigs_applied));
 }
 
 TEST(ShardedNodeThreadedTest, ControlOpsValidateBeforeEnqueue) {

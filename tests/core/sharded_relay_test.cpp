@@ -1,21 +1,23 @@
 // Sharded relay demux: relay bindings distributed across ShardedNode
 // workers by assoc-id hash, verified over the deterministic simulator.
 //
-//  * end-to-end delivery through a multi-worker batched relay, with every
-//    worker owning (and actually relaying) its slice of the associations;
-//  * flush-per-frame (relay_batch=1) vs batched (relay_batch=32) bindings
-//    produce identical relay counters on identical traffic -- the sharded
-//    analogue of the RelayPipeline equivalence suite;
+//  * end-to-end delivery through a multi-worker relay, with every worker
+//    owning (and actually relaying) its slice of the associations;
+//  * relay_batch=1 vs relay_batch=N bindings produce identical relay
+//    counters on identical traffic, also under seeded chaos (loss +
+//    jitter). The simulator always drives inline and flushes after every
+//    frame, so these comparisons check the binding API at any flush size,
+//    not batching itself; batched flushes are exercised by the threaded
+//    drive and the RelayPipeline equivalence suite;
 //  * 1-worker vs 4-worker runs agree on the aggregate relay counters;
-//  * seeded chaos (loss + jitter) keeps flush-per-frame and batched runs
-//    bit-identical;
 //  * the relay_pending queue-depth gauge drains to zero at quiescence.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "net/network.hpp"
 #include "net/udp.hpp"
 #include "test_bus.hpp"
@@ -45,17 +47,19 @@ std::vector<std::uint32_t> assoc_ids(std::size_t n) {
   return ids;
 }
 
-/// Host A (node 0) -- relay (node 2, ShardedNode with relay bindings) --
-/// host B (node 1). A peers with the relay; the relay's bindings forward
-/// between the end nodes; B accepts inbound and answers toward the relay.
+/// Host A (node 0) -- relay (node 2, relay bindings across `relay_workers`
+/// shards) -- host B (node 1), wired by ProtectedPath. A peers with the
+/// relay; the relay's bindings forward between the end nodes; B accepts
+/// inbound and answers toward the relay.
 struct RelayTriad {
   net::Simulator sim;
   net::Network network;
-  std::unique_ptr<ShardedNode> a;
-  std::unique_ptr<ShardedNode> b;
-  std::unique_ptr<ShardedNode> relay;
   std::map<std::uint32_t, std::vector<Bytes>> at_b;
   std::map<std::uint32_t, std::vector<std::uint64_t>> acked;
+  std::optional<ProtectedPath> path;
+  ShardedNode* a = nullptr;
+  ShardedNode* b = nullptr;
+  ShardedNode* relay = nullptr;
 
   RelayTriad(std::uint32_t relay_workers, std::size_t relay_batch,
              const Config& config, const std::vector<std::uint32_t>& ids,
@@ -72,41 +76,34 @@ struct RelayTriad {
     network.add_link(0, 2, link);
     network.add_link(2, 1, link);
 
-    ShardedNode::Options r_opts;
-    r_opts.shard.config = config;
-    r_opts.shard.seed = 9;
-    r_opts.workers = relay_workers;
-    relay = std::make_unique<ShardedNode>(
-        std::make_unique<net::SimTransport>(network, 2), r_opts);
-    relay->add_relay(/*upstream=*/0, /*downstream=*/1, ids, relay_batch);
-
-    ShardedNode::Options a_opts;
-    a_opts.shard.config = config;
-    a_opts.shard.seed = 7;
-    a_opts.workers = 1;
-    ShardedNode::Callbacks a_cbs;
-    a_cbs.on_delivery = [this](std::uint32_t assoc, std::uint64_t cookie,
-                               DeliveryStatus status) {
+    ProtectedPath::End a_end;
+    a_end.options.shard.config = config;
+    a_end.callbacks.on_delivery = [this](std::uint32_t assoc,
+                                         std::uint64_t cookie,
+                                         DeliveryStatus status) {
       if (status == DeliveryStatus::kAcked) acked[assoc].push_back(cookie);
     };
-    a = std::make_unique<ShardedNode>(
-        std::make_unique<net::SimTransport>(network, 0), a_opts, a_cbs);
-
-    ShardedNode::Options b_opts;
-    b_opts.shard.config = config;
-    b_opts.shard.seed = 8;
-    b_opts.shard.accept_inbound = true;
-    b_opts.workers = 1;
-    ShardedNode::Callbacks b_cbs;
-    b_cbs.on_message = [this](std::uint32_t assoc, crypto::ByteView payload) {
+    ProtectedPath::End b_end;
+    b_end.options.shard.config = config;
+    b_end.options.shard.accept_inbound = true;
+    b_end.callbacks.on_message = [this](std::uint32_t assoc,
+                                        crypto::ByteView payload) {
       at_b[assoc].emplace_back(payload.begin(), payload.end());
     };
-    b = std::make_unique<ShardedNode>(
-        std::make_unique<net::SimTransport>(network, 1), b_opts, b_cbs);
+    ProtectedPath::Relays relays;
+    relays.options.shard.config = config;
+    relays.options.workers = relay_workers;
+    relays.assoc_ids = ids;
+    relays.relay_batch = relay_batch;
+    path.emplace(network, std::vector<net::NodeId>{0, 2, 1}, /*seed=*/7,
+                 std::move(a_end), std::move(b_end), std::move(relays));
+    a = &path->initiator_node();
+    b = &path->responder_node();
+    relay = &path->node(1);
   }
 
   void run(const std::vector<std::uint32_t>& ids) {
-    for (const auto id : ids) a->add_initiator(id, /*peer=*/2);
+    for (const auto id : ids) a->add_initiator(id, path->next_hop());
     for (const auto id : ids) a->start(id);
     sim.run_until(10 * kSecond);
     for (const auto id : ids) {

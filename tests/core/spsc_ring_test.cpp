@@ -1,6 +1,6 @@
-// Lock-free SPSC rings under the sharded runtime: FIFO order, explicit
-// overflow accounting, multi-slot borrowing for batched flushes, buffer
-// recycling, cross-thread handoff, and the shard-ownership hash.
+// The lock-free SPSC frame ring under the sharded runtime: FIFO order,
+// explicit overflow accounting, multi-slot borrowing for batched flushes,
+// buffer recycling, cross-thread handoff, and the shard-ownership hash.
 #include "core/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -21,50 +21,6 @@ Bytes payload_for(std::uint32_t i, std::size_t size) {
     b[k] = static_cast<std::uint8_t>(i + k);
   }
   return b;
-}
-
-// ------------------------------------------------------------ generic ring
-
-TEST(SpscRingTest, FifoOrderAndCapacity) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(int{i}));
-  int rejected = 99;
-  EXPECT_FALSE(ring.try_push(std::move(rejected)));  // full
-
-  int out = -1;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  EXPECT_FALSE(ring.try_pop(out));  // empty
-}
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  SpscRing<int> tiny(0);
-  EXPECT_EQ(tiny.capacity(), 2u);
-}
-
-TEST(SpscRingTest, CrossThreadTransferPreservesEverything) {
-  constexpr std::uint64_t kCount = 200'000;
-  SpscRing<std::uint64_t> ring(256);
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.try_push(std::uint64_t{i})) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expect = 0;
-  while (expect < kCount) {
-    std::uint64_t v;
-    if (ring.try_pop(v)) {
-      ASSERT_EQ(v, expect);  // FIFO, nothing lost, nothing duplicated
-      ++expect;
-    }
-  }
-  producer.join();
-  EXPECT_EQ(ring.size_approx(), 0u);
 }
 
 // ------------------------------------------------------------- frame ring

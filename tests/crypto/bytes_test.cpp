@@ -69,5 +69,20 @@ TEST(BytesTest, AppendExtends) {
   EXPECT_EQ(dst, (Bytes{1, 2, 3}));
 }
 
+TEST(Crc32Test, KnownAnswers) {
+  // The CRC-32 check value, and zlib.crc32 of the pangram.
+  EXPECT_EQ(crc32(as_bytes("123456789")), 0xcbf43926u);
+  EXPECT_EQ(crc32(as_bytes("The quick brown fox jumps over the lazy dog")),
+            0x414fa339u);
+  EXPECT_EQ(crc32({}), 0u);
+}
+
+TEST(Crc32Test, SeedContinuesAPreviousCrc) {
+  EXPECT_EQ(crc32(as_bytes("56789"), crc32(as_bytes("1234"))), 0xcbf43926u);
+  EXPECT_EQ(crc32(as_bytes("9"), crc32(as_bytes("12345678"))), 0xcbf43926u);
+  // No bytes leave the running CRC unchanged.
+  EXPECT_EQ(crc32({}, 0xcbf43926u), 0xcbf43926u);
+}
+
 }  // namespace
 }  // namespace alpha::crypto

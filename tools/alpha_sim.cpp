@@ -1,6 +1,6 @@
 // alpha_sim -- configurable ALPHA experiment runner.
 //
-// Sets up a linear multi-hop path of node runtimes (core::ShardedNode) in
+// Sets up a linear multi-hop path of node runtimes (core::ProtectedPath) in
 // the deterministic simulator, streams messages through the chosen protocol
 // profile -- optionally over many concurrent associations between the same
 // end nodes -- and prints a result table: delivery/ack counts, goodput,
@@ -14,9 +14,10 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <string>
 
-#include "core/sharded_node.hpp"
+#include "core/path.hpp"
 #include "flags.hpp"
 #include "net/network.hpp"
 #include "trace/build_info.hpp"
@@ -269,22 +270,20 @@ int main(int argc, char** argv) {
   }
   responder_opts.require_protected_peer = flags.flag("require-protected");
 
-  // One node runtime per path node. Node 0 runs every initiator
-  // association; node `hops` accepts the inbound handshakes on demand;
-  // interior nodes carry one relay binding each and demux frames by
+  // One node runtime per path node (core::ProtectedPath). Node 0 runs every
+  // initiator association; node `hops` accepts the inbound handshakes on
+  // demand; interior nodes carry one relay binding each and demux frames by
   // association id. The end nodes run --workers shards, the relays
   // --relay-workers. Over SimTransport the shards are driven inline -- one
   // thread, virtual-arrival order -- so runs replay bit-identically per
   // seed at any shard count.
   std::size_t delivered = 0;
   std::size_t acked = 0;
-  core::ShardedNode::Options init_opts;
-  init_opts.shard.config = config;
-  init_opts.shard.seed = seed + 77;
-  init_opts.shard.trace_origin = 0;
-  init_opts.workers = workers;
+  core::ProtectedPath::End init;
+  init.options.shard.config = config;
+  init.options.workers = workers;
   if (flags.flag("adaptive")) {
-    init_opts.shard.adaptive = core::AdaptiveController::Options{};
+    init.options.shard.adaptive = core::AdaptiveController::Options{};
   }
   std::size_t failed_deliveries = 0;
 
@@ -305,9 +304,9 @@ int main(int argc, char** argv) {
     return "assoc=\"" + std::to_string(assoc_id) + "\"";
   };
 
-  core::ShardedNode::Callbacks init_cbs;
-  init_cbs.on_delivery = [&](std::uint32_t assoc_id, std::uint64_t cookie,
-                             core::DeliveryStatus status) {
+  init.callbacks.on_delivery = [&](std::uint32_t assoc_id,
+                                   std::uint64_t cookie,
+                                   core::DeliveryStatus status) {
     if (status == core::DeliveryStatus::kAcked) ++acked;
     // Budget exhaustion under an adversarial schedule: the signer reports
     // the round failed instead of retransmitting forever.
@@ -324,7 +323,7 @@ int main(int argc, char** argv) {
       }
     }
   };
-  init_cbs.on_established = [&](std::uint32_t assoc_id) {
+  init.callbacks.on_established = [&](std::uint32_t assoc_id) {
     if (!want_metrics) return;
     if (const auto it = hs_start_us.find(assoc_id); it != hs_start_us.end()) {
       registry.histogram("alpha_handshake_rtt_us", assoc_label(assoc_id))
@@ -332,43 +331,27 @@ int main(int argc, char** argv) {
       hs_start_us.erase(it);
     }
   };
-  core::ShardedNode initiator_node{
-      std::make_unique<net::SimTransport>(network, 0), init_opts, init_cbs};
 
   // Interior relay nodes: relay bindings demuxed across --relay-workers
   // shards by assoc-id hash. Association ids are known up front
   // (1..assocs), so each shard's binding owns exactly its slice.
-  std::vector<std::unique_ptr<core::ShardedNode>> relay_nodes;
-  std::vector<std::uint32_t> relay_assoc_ids;
+  core::ProtectedPath::Relays relays;
+  relays.options.shard.config = config;
+  relays.options.workers = relay_workers;
   for (std::size_t a = 0; a < assocs; ++a) {
-    relay_assoc_ids.push_back(static_cast<std::uint32_t>(a + 1));
-  }
-  for (net::NodeId id = 1; id < hops; ++id) {
-    core::ShardedNode::Options ropts;
-    ropts.shard.config = config;
-    ropts.shard.seed = seed + 100 + id;
-    ropts.shard.trace_origin = static_cast<std::uint8_t>(id);
-    ropts.workers = relay_workers;
-    auto node = std::make_unique<core::ShardedNode>(
-        std::make_unique<net::SimTransport>(network, id), ropts);
-    node->add_relay(/*upstream=*/id - 1, /*downstream=*/id + 1,
-                    relay_assoc_ids);
-    relay_nodes.push_back(std::move(node));
+    relays.assoc_ids.push_back(static_cast<std::uint32_t>(a + 1));
   }
 
-  core::ShardedNode::Options resp_opts;
-  resp_opts.shard.config = config;
-  resp_opts.shard.seed = seed + 78;
-  resp_opts.shard.accept_inbound = true;
-  resp_opts.shard.trace_origin = static_cast<std::uint8_t>(hops);
-  resp_opts.shard.accept_host_options = responder_opts;
-  resp_opts.workers = workers;
+  core::ProtectedPath::End resp;
+  resp.options.shard.config = config;
+  resp.options.shard.accept_inbound = true;
+  resp.options.shard.accept_host_options = responder_opts;
+  resp.options.workers = workers;
   // Forgery oracle: every genuine payload is msg_size bytes of one repeated
   // value, so anything else that reaches the application is a forgery the
   // protocol failed to reject (e.g. a corrupted frame that still verified).
   std::size_t forged = 0;
-  core::ShardedNode::Callbacks resp_cbs;
-  resp_cbs.on_message = [&](std::uint32_t, crypto::ByteView payload) {
+  resp.callbacks.on_message = [&](std::uint32_t, crypto::ByteView payload) {
     bool genuine = payload.size() == msg_size && !payload.empty();
     for (std::size_t i = 1; genuine && i < payload.size(); ++i) {
       genuine = payload[i] == payload[0];
@@ -379,10 +362,13 @@ int main(int argc, char** argv) {
       ++forged;
     }
   };
-  core::ShardedNode responder_node{
-      std::make_unique<net::SimTransport>(network,
-                                          static_cast<net::NodeId>(hops)),
-      resp_opts, resp_cbs};
+
+  std::vector<net::NodeId> path_nodes(hops + 1);
+  std::iota(path_nodes.begin(), path_nodes.end(), net::NodeId{0});
+  core::ProtectedPath path{network, path_nodes, seed + 77, std::move(init),
+                           std::move(resp), std::move(relays)};
+  core::ShardedNode& initiator_node = path.initiator_node();
+  core::ShardedNode& responder_node = path.responder_node();
 
   // One refresh = fold per-association counters from fresh snapshots into
   // the registry (plain assignments, so re-folding per scrape is
@@ -484,10 +470,10 @@ int main(int argc, char** argv) {
             count;
       }
     };
-    for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
-      fold_relay(i, relay_nodes[i]->snapshot().relay);
+    for (std::size_t i = 0; i < path.relay_count(); ++i) {
+      fold_relay(i, path.relay_stats(i));
       fold_shards(("relay" + std::to_string(i)).c_str(),
-                  relay_nodes[i]->shard_stats());
+                  path.node(i + 1).shard_stats());
     }
     trace::export_prof(profiler, registry);
     if (trace_ring.has_value()) span_builder.ingest_new(*trace_ring);
@@ -550,7 +536,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t a = 0; a < assocs; ++a) {
     const auto assoc_id = static_cast<std::uint32_t>(a + 1);
-    initiator_node.add_initiator(assoc_id, /*peer=*/1, config,
+    initiator_node.add_initiator(assoc_id, path.next_hop(), config,
                                  initiator_opts);
     if (want_metrics) hs_start_us.emplace(assoc_id, sim.now());
     initiator_node.start(assoc_id);
@@ -655,11 +641,11 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(resp_snap.messages_delivered),
               static_cast<unsigned long long>(v_invalid),
               static_cast<unsigned long long>(v_hashes));
-  for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
+  for (std::size_t i = 0; i < path.relay_count(); ++i) {
     // No wall-clock figures here: the results table must diff bit-identical
     // across same-seed runs (verify_batch_ns is exported as a histogram
     // under --metrics instead).
-    const auto rs = relay_nodes[i]->snapshot();
+    const auto rs = path.node(i + 1).snapshot();
     std::printf("relay %zu:        forwarded=%llu verified=%llu dropped=%llu "
                 "hash-ops=%llu buffered=%zuB\n",
                 i, static_cast<unsigned long long>(rs.relay.forwarded),
@@ -773,13 +759,13 @@ int main(int argc, char** argv) {
     // Relay verify-batch latency is cumulative over the run, so merge it
     // once here rather than per scrape (merging in the refresh would
     // double-count samples on every poll).
-    for (std::size_t i = 0; i < relay_nodes.size(); ++i) {
-      const auto rs = relay_nodes[i]->snapshot();
-      if (rs.relay.verify_batch_ns.count() > 0) {
+    for (std::size_t i = 0; i < path.relay_count(); ++i) {
+      const auto rs = path.relay_stats(i);
+      if (rs.verify_batch_ns.count() > 0) {
         registry
             .histogram("alpha_relay_verify_batch_ns",
                        "relay=\"" + std::to_string(i) + "\"")
-            .merge(rs.relay.verify_batch_ns);
+            .merge(rs.verify_batch_ns);
       }
     }
     if (span_builder.min_delivery_latency_us() != trace::SpanBuilder::kUnset) {
