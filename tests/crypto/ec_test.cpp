@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 namespace alpha::crypto {
+
+// Found by ADL when gtest prints a test parameter. Without it the curve
+// pointer is printed, and ASLR gives every run a different test name.
+void PrintTo(const EcCurve* curve, std::ostream* os) { *os << curve->name(); }
+
 namespace {
 
 class EcCurveTest : public ::testing::TestWithParam<const EcCurve*> {};
