@@ -3,9 +3,7 @@
 #include <chrono>
 
 #include "core/identity.hpp"
-#include "core/preack.hpp"
 #include "crypto/counter.hpp"
-#include "merkle/amt.hpp"
 #include "trace/prof.hpp"
 
 namespace alpha::core {
@@ -43,22 +41,12 @@ inline void prefetch(const void* p) noexcept {
 void RelayPipeline::Round::reset(std::uint32_t new_seq) noexcept {
   used = true;
   seq = new_seq;
-  mode = Mode::kBase;
   s1_index = 0;
-  macs.clear();
-  merkle_root = crypto::Digest{};
-  leaf_count = 0;
-  merkle_roots.clear();
-  group_size = 0;
+  sig.clear();
   a1_seen = false;
-  scheme = wire::AckScheme::kNone;
   a1_ack_index = 0;
-  pre_acks.clear();
-  pre_nacks.clear();
-  amt_root = crypto::Digest{};
-  amt_count = 0;
+  acks.clear();
   disclosed.reset();
-  mac_ctx.reset();
   ack_disclosed.reset();
 }
 
@@ -319,10 +307,7 @@ RelayDecision RelayPipeline::process_s1(Direction dir,
   }
   Flow& flow = slots_[slot].flows[static_cast<int>(dir)];
 
-  const bool tree_mode =
-      s1.mode == Mode::kMerkle || s1.mode == Mode::kCumulativeMerkle;
-  const std::size_t count = tree_mode ? s1.leaf_count : s1.macs.size();
-  if (count == 0 || count > kMaxBatchMessages) {
+  if (!SignatureCommitment::admissible(s1)) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kDecodeError);
   }
@@ -346,19 +331,8 @@ RelayDecision RelayPipeline::process_s1(Direction dir,
   }
 
   if (Round* round = insert_round(flow, s1.hdr.seq)) {
-    round->mode = s1.mode;
     round->s1_index = s1.chain_index;
-    if (s1.mode == Mode::kMerkle) {
-      round->merkle_root = s1.merkle_root;
-      round->leaf_count = s1.leaf_count;
-    } else if (s1.mode == Mode::kCumulativeMerkle) {
-      round->merkle_roots.assign(s1.merkle_roots.begin(),
-                                 s1.merkle_roots.end());
-      round->group_size = s1.group_size;
-      round->leaf_count = s1.leaf_count;
-    } else {
-      round->macs.assign(s1.macs.begin(), s1.macs.end());
-    }
+    round->sig.assign(s1);
   }
   return forward_to_batch(dir, frame);
 }
@@ -401,18 +375,14 @@ RelayDecision RelayPipeline::process_a1(Direction dir,
   }
 
   if (a1.scheme == wire::AckScheme::kPreAck &&
-      a1.pre_acks.size() != round->message_count()) {
+      AckCommitment::message_count(a1) != round->sig.message_count()) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kDecodeError);
   }
 
   round->a1_seen = true;
-  round->scheme = a1.scheme;
   round->a1_ack_index = a1.ack_chain_index;
-  round->pre_acks.assign(a1.pre_acks.begin(), a1.pre_acks.end());
-  round->pre_nacks.assign(a1.pre_nacks.begin(), a1.pre_nacks.end());
-  round->amt_root = a1.amt_root;
-  round->amt_count = a1.amt_msg_count;
+  round->acks.assign(a1);
   return forward_to_batch(dir, frame);
 }
 
@@ -440,7 +410,8 @@ RelayDecision RelayPipeline::process_s2(Direction dir, const wire::S2View& s2,
                 trace::DropReason::kUnsolicited);
   }
 
-  if (s2.mode != round->mode || s2.msg_index >= round->message_count() ||
+  if (s2.mode != round->sig.mode() ||
+      s2.msg_index >= round->sig.message_count() ||
       s2.chain_index + 1 != round->s1_index) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
@@ -468,35 +439,10 @@ RelayDecision RelayPipeline::process_s2(Direction dir, const wire::S2View& s2,
   bool valid = false;
   {
     const crypto::ScopedHashOps ops;
-    const crypto::HashAlgo algo = assoc.algo;
-    if (round->mode == Mode::kMerkle) {
-      if (s2.has_path && s2.leaf_index == s2.msg_index) {
-        const crypto::Digest leaf = crypto::hash(algo, s2.payload);
-        s2.path_into(path_scratch_);
-        valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, path_scratch_,
-            round->merkle_root);
-      }
-    } else if (round->mode == Mode::kCumulativeMerkle) {
-      const std::size_t group = s2.msg_index / round->group_size;
-      const std::size_t within = s2.msg_index % round->group_size;
-      if (s2.has_path && s2.leaf_index == within &&
-          group < round->merkle_roots.size()) {
-        const crypto::Digest leaf = crypto::hash(algo, s2.payload);
-        s2.path_into(path_scratch_);
-        valid = merkle::MerkleTree::verify_keyed(
-            algo, s2.disclosed_element.view(), leaf, path_scratch_,
-            round->merkle_roots[group]);
-      }
-    } else {
-      // First S2 builds the HMAC ipad/opad midstates; the rest of the
-      // round's batch reuses them.
-      if (!round->mac_ctx.has_value()) {
-        round->mac_ctx.emplace(config_.mac_kind, algo,
-                               s2.disclosed_element.view());
-      }
-      valid = round->mac_ctx->verify(s2.payload, round->macs[s2.msg_index]);
-    }
+    if (s2.has_path) s2.path_into(path_scratch_);
+    valid = round->sig.verify(assoc.algo, config_.mac_kind,
+                              s2.disclosed_element, s2.msg_index, s2.payload,
+                              s2.has_path ? &path_scratch_ : nullptr);
     stats_.hashes.signature += ops.delta().hash_finalizations;
   }
   if (!valid) {
@@ -535,9 +481,9 @@ RelayDecision RelayPipeline::process_a2(Direction dir,
                 trace::DropReason::kUnsolicited);
   }
 
-  if (a2.scheme != round->scheme ||
+  if (a2.scheme != round->acks.scheme() ||
       a2.ack_chain_index + 1 != round->a1_ack_index ||
-      a2.msg_index >= round->message_count()) {
+      a2.msg_index >= round->sig.message_count()) {
     return drop(RelayDecision::kDroppedInvalid, frame,
                 trace::DropReason::kStaleChainIndex);
   }
@@ -560,27 +506,9 @@ RelayDecision RelayPipeline::process_a2(Direction dir,
   }
 
   bool valid = false;
-  const bool is_ack = a2.kind == wire::AckKind::kAck;
   {
     const crypto::ScopedHashOps ops;
-    const crypto::HashAlgo algo = assoc.algo;
-    if (round->scheme == wire::AckScheme::kPreAck) {
-      const crypto::Digest& committed = is_ack
-                                            ? round->pre_acks[a2.msg_index]
-                                            : round->pre_nacks[a2.msg_index];
-      valid = verify_pre_ack(algo, a2.disclosed_ack_element, is_ack,
-                             a2.secret, committed);
-    } else if (round->scheme == wire::AckScheme::kAmt && a2.path.has_value()) {
-      merkle::AckMerkleTree::Proof proof;
-      proof.is_ack = is_ack;
-      proof.msg_index = a2.msg_index;
-      proof.secret = a2.secret;
-      proof.path = a2.path->to_auth_path();
-      valid = merkle::AckMerkleTree::verify(algo,
-                                            a2.disclosed_ack_element.view(),
-                                            proof, round->amt_root,
-                                            round->amt_count);
-    }
+    valid = round->acks.verify(assoc.algo, a2);
     stats_.hashes.ack += ops.delta().hash_finalizations;
   }
   if (!valid) {
@@ -593,8 +521,8 @@ RelayDecision RelayPipeline::process_a2(Direction dir,
 }
 
 // ------------------------------------------------------------- memory ----
-// Both counts walk the used rounds with the same per-mode rules as
-// RelayEngine, so the Table 2/3 relay columns read the same from either.
+// Both counts walk the used rounds; the per-mode rules are the commitment
+// module's, and the equivalence suite holds them to RelayEngine's.
 
 std::size_t RelayPipeline::buffered_bytes() const noexcept {
   std::size_t total = 0;
@@ -602,18 +530,7 @@ std::size_t RelayPipeline::buffered_bytes() const noexcept {
     const std::size_t h = crypto::digest_size(assoc.algo);
     for (const Flow& flow : assoc.flows) {
       for (const Round& round : flow.rounds) {
-        if (!round.used) continue;
-        switch (round.mode) {
-          case Mode::kMerkle:
-            total += h;
-            break;
-          case Mode::kCumulativeMerkle:
-            total += round.merkle_roots.size() * h;
-            break;
-          default:
-            total += round.macs.size() * h;
-            break;
-        }
+        if (round.used) total += round.sig.buffered_bytes(h);
       }
     }
   }
@@ -626,12 +543,7 @@ std::size_t RelayPipeline::ack_buffered_bytes() const noexcept {
     const std::size_t h = crypto::digest_size(assoc.algo);
     for (const Flow& flow : assoc.flows) {
       for (const Round& round : flow.rounds) {
-        if (!round.used) continue;
-        if (round.scheme == wire::AckScheme::kPreAck) {
-          total += (round.pre_acks.size() + round.pre_nacks.size()) * h;
-        } else if (round.scheme == wire::AckScheme::kAmt) {
-          total += h;  // only the AMT root
-        }
+        if (round.used) total += round.acks.buffered_bytes(h);
       }
     }
   }

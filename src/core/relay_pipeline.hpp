@@ -43,10 +43,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/relay.hpp"
 #include "core/stats.hpp"
-#include "crypto/mac.hpp"
 #include "hashchain/chain.hpp"
 #include "merkle/merkle.hpp"
 #include "wire/packets.hpp"
@@ -105,8 +105,7 @@ class RelayPipeline {
   std::size_t ack_buffered_bytes() const noexcept;
 
  private:
-  // Same limits as RelayEngine; decision equivalence depends on them.
-  static constexpr std::size_t kMaxBatchMessages = 4096;
+  // Same limit as RelayEngine; decision equivalence depends on it.
   static constexpr std::size_t kMaxRoundsPerFlow = 8;
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
@@ -116,32 +115,16 @@ class RelayPipeline {
   struct Round {
     bool used = false;
     std::uint32_t seq = 0;
-    Mode mode = Mode::kBase;
     std::size_t s1_index = 0;
-    std::vector<crypto::Digest> macs;
-    crypto::Digest merkle_root;
-    std::uint16_t leaf_count = 0;
-    std::vector<crypto::Digest> merkle_roots;  // ALPHA-C+M
-    std::uint16_t group_size = 0;              // ALPHA-C+M
+    SignatureCommitment sig;  // memoizes the MAC key schedule too
     bool a1_seen = false;
 
-    wire::AckScheme scheme = wire::AckScheme::kNone;
     std::size_t a1_ack_index = 0;
-    std::vector<crypto::Digest> pre_acks;
-    std::vector<crypto::Digest> pre_nacks;
-    crypto::Digest amt_root;
-    std::uint16_t amt_count = 0;
+    AckCommitment acks;
 
     std::optional<crypto::Digest> disclosed;      // accepted MAC key
-    std::optional<crypto::MacContext> mac_ctx;    // its key schedule
     std::optional<crypto::Digest> ack_disclosed;  // accepted A2 key
 
-    std::size_t message_count() const noexcept {
-      if (mode == Mode::kMerkle || mode == Mode::kCumulativeMerkle) {
-        return leaf_count;
-      }
-      return macs.size();
-    }
     void reset(std::uint32_t new_seq) noexcept;
   };
 

@@ -3,9 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
-#include "core/preack.hpp"
 #include "crypto/counter.hpp"
-#include "merkle/amt.hpp"
 #include "trace/trace.hpp"
 
 namespace alpha::core {
@@ -124,8 +122,10 @@ void SignerEngine::maybe_start_round(std::uint64_t now_us, bool flush) {
 
   {
     const crypto::ScopedHashOps ops;
+    std::vector<Digest> digests;  // the MACs, or one keyed root per tree
+    std::size_t group = 0;
     if (config_.uses_trees()) {
-      const std::size_t group = config_.group_size(round.messages.size());
+      group = config_.group_size(round.messages.size());
       for (std::size_t start = 0; start < round.messages.size();
            start += group) {
         std::vector<Bytes> payloads;
@@ -136,17 +136,20 @@ void SignerEngine::maybe_start_round(std::uint64_t now_us, bool flush) {
           payloads.push_back(round.messages[k].payload);
         }
         round.trees.emplace_back(config_.algo, payloads);
+        digests.push_back(round.trees.back().keyed_root(round.h_im1.view()));
       }
     } else {
       // One key schedule for the whole batch: every MAC of the round is
       // keyed by the same undisclosed element h_{i-1}.
       const crypto::MacContext mac_ctx(config_.mac_kind, config_.algo,
                                        round.h_im1.view());
-      round.macs.reserve(round.messages.size());
+      digests.reserve(round.messages.size());
       for (const auto& m : round.messages) {
-        round.macs.push_back(mac_ctx.mac(m.payload));
+        digests.push_back(mac_ctx.mac(m.payload));
       }
     }
+    round.sig.commit(config_.mode, std::move(digests), round.messages.size(),
+                     group);
     stats_.hashes.signature += ops.delta().hash_finalizations;
   }
 
@@ -169,26 +172,9 @@ void SignerEngine::send_s1(std::uint64_t now_us) {
   Round& round = *round_;
   wire::S1Packet s1;
   s1.hdr = {assoc_id_, round.seq};
-  s1.mode = config_.mode;
   s1.chain_index = static_cast<std::uint32_t>(round.s1_index);
   s1.chain_element = round.h_i;
-  if (config_.mode == Mode::kMerkle) {
-    const crypto::ScopedHashOps ops;
-    s1.merkle_root = round.trees.front().keyed_root(round.h_im1.view());
-    stats_.hashes.signature += ops.delta().hash_finalizations;
-    s1.leaf_count = static_cast<std::uint16_t>(round.messages.size());
-  } else if (config_.mode == Mode::kCumulativeMerkle) {
-    const crypto::ScopedHashOps ops;
-    for (const auto& tree : round.trees) {
-      s1.merkle_roots.push_back(tree.keyed_root(round.h_im1.view()));
-    }
-    stats_.hashes.signature += ops.delta().hash_finalizations;
-    s1.group_size = static_cast<std::uint16_t>(
-        config_.group_size(round.messages.size()));
-    s1.leaf_count = static_cast<std::uint16_t>(round.messages.size());
-  } else {
-    s1.macs = round.macs;
-  }
+  round.sig.write(s1);
   round.s1_frame = s1.encode();
   round.last_send_us = now_us;
   ++stats_.s1_sent;
@@ -205,11 +191,8 @@ Bytes SignerEngine::make_s2(const Round& round, std::size_t index) const {
   s2.chain_index = static_cast<std::uint32_t>(round.s1_index - 1);
   s2.disclosed_element = round.h_im1;
   s2.msg_index = static_cast<std::uint16_t>(index);
-  if (config_.mode == Mode::kMerkle) {
-    s2.path =
-        wire::WirePath::from_auth_path(round.trees.front().auth_path(index));
-  } else if (config_.mode == Mode::kCumulativeMerkle) {
-    const std::size_t group = config_.group_size(round.messages.size());
+  if (round.sig.uses_trees()) {
+    const std::size_t group = round.sig.group_size();
     s2.path = wire::WirePath::from_auth_path(
         round.trees[index / group].auth_path(index % group));
   }
@@ -266,29 +249,13 @@ void SignerEngine::on_a1(const wire::A1Packet& a1, std::uint64_t now_us) {
   if (config_.reliable) {
     const auto expected = config_.uses_trees() ? wire::AckScheme::kAmt
                                                : wire::AckScheme::kPreAck;
-    if (a1.scheme != expected) {
+    if (a1.scheme != expected ||
+        AckCommitment::message_count(a1) != round.messages.size()) {
       ++stats_.invalid_packets;
       drop_a1(trace::DropReason::kBadMac);
       return;
     }
-    if (a1.scheme == wire::AckScheme::kPreAck) {
-      if (a1.pre_acks.size() != round.messages.size()) {
-        ++stats_.invalid_packets;
-        drop_a1(trace::DropReason::kBadMac);
-        return;
-      }
-      round.pre_acks = a1.pre_acks;
-      round.pre_nacks = a1.pre_nacks;
-    } else {
-      if (a1.amt_msg_count != round.messages.size()) {
-        ++stats_.invalid_packets;
-        drop_a1(trace::DropReason::kBadMac);
-        return;
-      }
-      round.amt_root = a1.amt_root;
-      round.amt_count = a1.amt_msg_count;
-    }
-    round.scheme = a1.scheme;
+    round.acks.assign(a1);
   }
   round.a1_ack_index = a1.ack_chain_index;
   round.retries = 0;
@@ -339,7 +306,7 @@ void SignerEngine::on_a2(const wire::A2Packet& a2, std::uint64_t now_us) {
     }
   }
 
-  if (a2.scheme != round.scheme) {
+  if (a2.scheme != round.acks.scheme()) {
     ++stats_.invalid_packets;
     drop_a2(trace::DropReason::kBadMac);
     return;
@@ -355,21 +322,7 @@ void SignerEngine::on_a2(const wire::A2Packet& a2, std::uint64_t now_us) {
   const bool is_ack = a2.kind == wire::AckKind::kAck;
   {
     const crypto::ScopedHashOps ops;
-    if (round.scheme == wire::AckScheme::kPreAck) {
-      const Digest& committed =
-          is_ack ? round.pre_acks[index] : round.pre_nacks[index];
-      valid = verify_pre_ack(config_.algo, a2.disclosed_ack_element, is_ack,
-                             a2.secret, committed);
-    } else if (round.scheme == wire::AckScheme::kAmt && a2.path.has_value()) {
-      merkle::AckMerkleTree::Proof proof;
-      proof.is_ack = is_ack;
-      proof.msg_index = a2.msg_index;
-      proof.secret = a2.secret;
-      proof.path = a2.path->to_auth_path();
-      valid = merkle::AckMerkleTree::verify(
-          config_.algo, a2.disclosed_ack_element.view(), proof, round.amt_root,
-          round.amt_count);
-    }
+    valid = round.acks.verify(config_.algo, a2);
     stats_.hashes.ack += ops.delta().hash_finalizations;
   }
   if (!valid) {
@@ -489,13 +442,13 @@ std::size_t SignerEngine::buffered_bytes() const noexcept {
   const std::size_t h = config_.digest_size();
   std::size_t total = 0;
   for (const auto& m : round.messages) total += m.payload.size();
-  if (config_.uses_trees()) {
+  if (round.sig.uses_trees()) {
     // The signer keeps the trees to emit {Bc} per S2: (2w - 1) nodes each.
     for (const auto& tree : round.trees) {
       total += (2 * tree.width() - 1) * h;
     }
   } else {
-    total += round.macs.size() * h;
+    total += round.sig.buffered_bytes(h);
   }
   return total;
 }

@@ -16,6 +16,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
 #include "hashchain/chain.hpp"
@@ -128,8 +129,8 @@ class SignerEngine {
     std::size_t s1_index = 0;   // odd chain index in the S1
     Digest h_i;                 // signer element authenticating the S1
     Digest h_im1;               // MAC key, disclosed in S2 packets
-    std::vector<Digest> macs;   // base / ALPHA-C
-    std::vector<merkle::MerkleTree> trees;  // ALPHA-M (1) / ALPHA-C+M (many)
+    SignatureCommitment sig;    // the MACs or keyed roots the S1 carries
+    std::vector<merkle::MerkleTree> trees;  // one per root, for {Bc}
     Bytes s1_frame;             // cached for retransmission
 
     enum class State { kAwaitA1, kAwaitA2 } state = State::kAwaitA1;
@@ -137,11 +138,7 @@ class SignerEngine {
     int retries = 0;
 
     // Reliable-mode commitments from the A1.
-    wire::AckScheme scheme = wire::AckScheme::kNone;
-    std::vector<Digest> pre_acks;
-    std::vector<Digest> pre_nacks;
-    Digest amt_root;
-    std::uint16_t amt_count = 0;
+    AckCommitment acks;
     std::size_t a1_ack_index = 0;  // odd ack element index from the A1
     std::vector<std::uint8_t> settled;  // per message: 0 open, 1 done
     std::vector<std::uint8_t> nack_retries;  // selective-repeat budget used

@@ -2,16 +2,12 @@
 
 #include <stdexcept>
 
-#include "core/preack.hpp"
 #include "crypto/counter.hpp"
 #include "trace/trace.hpp"
 
 namespace alpha::core {
 
 namespace {
-// Bounds pre-signature buffering per S1 against memory-exhaustion floods
-// (§3.5: relays and verifiers limit S1 size).
-constexpr std::size_t kMaxBatch = 4096;
 // Completed/stale rounds retained for idempotent duplicate handling.
 constexpr std::size_t kMaxPendingRounds = 8;
 }  // namespace
@@ -66,10 +62,7 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
     return;
   }
 
-  const bool tree_mode =
-      s1.mode == Mode::kMerkle || s1.mode == Mode::kCumulativeMerkle;
-  const std::size_t count = tree_mode ? s1.leaf_count : s1.macs.size();
-  if (count == 0 || count > kMaxBatch) {
+  if (!SignatureCommitment::admissible(s1)) {
     ++stats_.invalid_packets;
     drop_s1(trace::DropReason::kDecodeError);
     return;
@@ -98,19 +91,10 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
   }
 
   PendingRound round;
-  round.mode = s1.mode;
   round.s1_index = s1.chain_index;
   round.s1_element = s1.chain_element;
-  if (s1.mode == Mode::kMerkle) {
-    round.merkle_root = s1.merkle_root;
-    round.leaf_count = s1.leaf_count;
-  } else if (s1.mode == Mode::kCumulativeMerkle) {
-    round.merkle_roots = s1.merkle_roots;
-    round.group_size = s1.group_size;
-    round.leaf_count = s1.leaf_count;
-  } else {
-    round.macs = s1.macs;
-  }
+  round.sig.assign(s1);
+  const std::size_t count = round.sig.message_count();
   round.received.assign(count, 0);
 
   // Two ack-chain elements per round: h^Va_i (odd, authenticates the A1)
@@ -127,24 +111,8 @@ void VerifierEngine::on_s1(const wire::S1Packet& s1) {
 
   if (config_.reliable) {
     const crypto::ScopedHashOps ops;
-    if (tree_mode) {
-      a1.scheme = wire::AckScheme::kAmt;
-      round.amt.emplace(config_.algo, count, *rng_, config_.secret_size);
-      a1.amt_root = round.amt->keyed_root(round.ack_key.view());
-      a1.amt_msg_count = static_cast<std::uint16_t>(count);
-    } else {
-      a1.scheme = wire::AckScheme::kPreAck;
-      round.ack_secrets.reserve(count);
-      round.nack_secrets.reserve(count);
-      for (std::size_t j = 0; j < count; ++j) {
-        round.ack_secrets.push_back(rng_->bytes(config_.secret_size));
-        round.nack_secrets.push_back(rng_->bytes(config_.secret_size));
-        a1.pre_acks.push_back(make_pre_ack(config_.algo, round.ack_key, true,
-                                           round.ack_secrets.back()));
-        a1.pre_nacks.push_back(make_pre_ack(config_.algo, round.ack_key, false,
-                                            round.nack_secrets.back()));
-      }
-    }
+    round.acks.commit(config_, round.sig.uses_trees(), count, round.ack_key,
+                      *rng_, a1);
     stats_.hashes.ack += ops.delta().hash_finalizations;
   }
 
@@ -177,7 +145,8 @@ void VerifierEngine::on_s2(const wire::S2Packet& s2) {
   }
   PendingRound& round = it->second;
 
-  if (s2.mode != round.mode || s2.msg_index >= round.message_count() ||
+  if (s2.mode != round.sig.mode() ||
+      s2.msg_index >= round.sig.message_count() ||
       s2.chain_index + 1 != round.s1_index) {
     ++stats_.invalid_packets;
     drop_s2(trace::DropReason::kStaleChainIndex);
@@ -222,30 +191,11 @@ void VerifierEngine::on_s2(const wire::S2Packet& s2) {
   bool valid = false;
   {
     const crypto::ScopedHashOps ops;
-    if (round.mode == Mode::kMerkle) {
-      if (s2.path.has_value() && s2.path->leaf_index == s2.msg_index) {
-        const crypto::Digest leaf = crypto::hash(config_.algo, s2.payload);
-        valid = merkle::MerkleTree::verify_keyed(
-            config_.algo, s2.disclosed_element.view(), leaf,
-            s2.path->to_auth_path(), round.merkle_root);
-      }
-    } else if (round.mode == Mode::kCumulativeMerkle) {
-      const std::size_t group = s2.msg_index / round.group_size;
-      const std::size_t within = s2.msg_index % round.group_size;
-      if (s2.path.has_value() && s2.path->leaf_index == within &&
-          group < round.merkle_roots.size()) {
-        const crypto::Digest leaf = crypto::hash(config_.algo, s2.payload);
-        valid = merkle::MerkleTree::verify_keyed(
-            config_.algo, s2.disclosed_element.view(), leaf,
-            s2.path->to_auth_path(), round.merkle_roots[group]);
-      }
-    } else {
-      if (!round.mac_ctx.has_value()) {
-        round.mac_ctx.emplace(config_.mac_kind, config_.algo,
-                              s2.disclosed_element.view());
-      }
-      valid = round.mac_ctx->verify(s2.payload, round.macs[s2.msg_index]);
-    }
+    std::optional<merkle::AuthPath> path;
+    if (s2.path.has_value()) path = s2.path->to_auth_path();
+    valid = round.sig.verify(config_.algo, config_.mac_kind,
+                             s2.disclosed_element, s2.msg_index, s2.payload,
+                             path.has_value() ? &*path : nullptr);
     stats_.hashes.signature += ops.delta().hash_finalizations;
   }
 
@@ -286,15 +236,7 @@ void VerifierEngine::send_a2(PendingRound& round, std::uint32_t seq,
   a2.msg_index = index;
 
   const crypto::ScopedHashOps ops;
-  if (round.amt.has_value()) {
-    a2.scheme = wire::AckScheme::kAmt;
-    const auto proof = round.amt->prove(index, ack);
-    a2.secret = proof.secret;
-    a2.path = wire::WirePath::from_auth_path(proof.path);
-  } else {
-    a2.scheme = wire::AckScheme::kPreAck;
-    a2.secret = ack ? round.ack_secrets[index] : round.nack_secrets[index];
-  }
+  round.acks.disclose(index, ack, a2);
   stats_.hashes.ack += ops.delta().hash_finalizations;
 
   crypto::Bytes frame = a2.encode();
@@ -313,20 +255,9 @@ void VerifierEngine::retire_old_rounds() {
 }
 
 std::size_t VerifierEngine::buffered_bytes() const noexcept {
-  const std::size_t h = config_.digest_size();
   std::size_t total = 0;
   for (const auto& [seq, round] : rounds_) {
-    switch (round.mode) {
-      case Mode::kMerkle:
-        total += h;
-        break;
-      case Mode::kCumulativeMerkle:
-        total += round.merkle_roots.size() * h;
-        break;
-      default:
-        total += round.macs.size() * h;
-        break;
-    }
+    total += round.sig.buffered_bytes(config_.digest_size());
   }
   return total;
 }
@@ -334,12 +265,7 @@ std::size_t VerifierEngine::buffered_bytes() const noexcept {
 std::size_t VerifierEngine::ack_buffered_bytes() const noexcept {
   std::size_t total = 0;
   for (const auto& [seq, round] : rounds_) {
-    if (round.amt.has_value()) {
-      total += round.amt->memory_bytes();
-    } else {
-      for (const auto& s : round.ack_secrets) total += s.size();
-      for (const auto& s : round.nack_secrets) total += s.size();
-    }
+    total += round.acks.buffered_bytes();
   }
   return total;
 }

@@ -16,11 +16,10 @@
 #include <optional>
 #include <vector>
 
+#include "core/commitment.hpp"
 #include "core/config.hpp"
 #include "core/stats.hpp"
-#include "crypto/mac.hpp"
 #include "hashchain/chain.hpp"
-#include "merkle/amt.hpp"
 #include "wire/packets.hpp"
 
 namespace alpha::core {
@@ -62,37 +61,20 @@ class VerifierEngine {
 
  private:
   struct PendingRound {
-    Mode mode = Mode::kBase;
     std::size_t s1_index = 0;       // odd element index from the S1
     crypto::Digest s1_element;      // for duplicate detection
-    std::vector<crypto::Digest> macs;
-    crypto::Digest merkle_root;
-    std::uint16_t leaf_count = 0;
-    std::vector<crypto::Digest> merkle_roots;  // ALPHA-C+M
-    std::uint16_t group_size = 0;              // ALPHA-C+M
+    SignatureCommitment sig;        // the S1's MACs or roots
     crypto::Bytes a1_frame;         // cached for duplicate S1
 
     // Reliable mode state.
     std::size_t a1_ack_index = 0;   // odd ack element in the A1
     crypto::Digest ack_key;         // h^Va_{i-1}, disclosed in A2 packets
-    std::vector<crypto::Bytes> ack_secrets;
-    std::vector<crypto::Bytes> nack_secrets;
-    std::optional<merkle::AckMerkleTree> amt;
+    AckSecrets acks;                // behind the A1's pre-(n)acks or AMT
 
     std::optional<crypto::Digest> disclosed;  // accepted MAC key
-    // Key schedule for `disclosed`, built once per round (non-tree modes):
-    // every remaining S2 of the round verifies under the same key.
-    std::optional<crypto::MacContext> mac_ctx;
     std::vector<std::uint8_t> received;       // 1 once delivered
     std::size_t delivered = 0;
     std::map<std::uint16_t, crypto::Bytes> a2_frames;  // idempotent resend
-
-    std::size_t message_count() const noexcept {
-      if (mode == Mode::kMerkle || mode == Mode::kCumulativeMerkle) {
-        return leaf_count;
-      }
-      return macs.size();
-    }
   };
 
   void send_a2(PendingRound& round, std::uint32_t seq, std::uint16_t index,
