@@ -60,7 +60,6 @@ const char* to_string(AdaptReason reason) noexcept {
     case AdaptReason::kDemoteLoss: return "demote_loss";
     case AdaptReason::kDemoteHealth: return "demote_health";
     case AdaptReason::kDemoteBudget: return "demote_budget";
-    case AdaptReason::kDemoteLatency: return "demote_latency";
     case AdaptReason::kPromoteFlush: return "promote_flush";
   }
   return "unknown";
@@ -147,8 +146,6 @@ std::optional<AdaptDecision> AdaptiveController::observe(
   acc_.round_retries = signals.round_retries;
   acc_.max_retries = signals.max_retries;
   acc_.health = signals.health;
-  acc_.p50_delivery_us = signals.p50_delivery_us;
-  acc_.p99_delivery_us = signals.p99_delivery_us;
 
   if (evaluated_once_ && now_us - last_eval_us_ < options_.interval_us) {
     return std::nullopt;
@@ -176,9 +173,6 @@ std::optional<AdaptDecision> AdaptiveController::observe(
                 static_cast<double>(acc_.max_retries)
           : 0.0;
   const std::uint8_t health = acc_.health;
-  // NaN-safe latency gate: NaN fails the comparison, i.e. "no evidence".
-  const bool latency_bad = options_.latency_target_us > 0 &&
-                           acc_.p99_delivery_us > options_.latency_target_us;
 
   // Escalation streaks. During a partition the loss EWMA is blind (an
   // S1-phase round retransmits one frame per backoff, so every window falls
@@ -272,9 +266,6 @@ std::optional<AdaptDecision> AdaptiveController::observe(
       target = index_ - 1;
     }
     reason = AdaptReason::kDemoteBudget;
-  } else if (latency_bad) {
-    if (index_ > 0) target = index_ - 1;
-    reason = AdaptReason::kDemoteLatency;
   } else if (had_traffic && loss_ewma_ <= options_.promote_loss) {
     ++clean_windows_;
     if (clean_windows_ >= options_.promote_patience && cooldown_left_ == 0 &&

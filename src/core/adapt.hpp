@@ -3,9 +3,9 @@
 // ALPHA's §3 trade-off -- base mode for robustness, ALPHA-C for amortized
 // overhead, ALPHA-M/C+M for bounded control-packet size -- is a choice the
 // seed tree froze at association setup. AdaptiveController closes the loop:
-// it consumes the signals the telemetry layer already produces (per-round
-// span latency quantiles from trace::SpanBuilder, loss pressure from the
-// retransmit taxonomy, HealthMonitor state, retransmit-budget pressure) and
+// it consumes the signals the telemetry layer already produces (loss
+// pressure from the retransmit taxonomy, HealthMonitor state,
+// retransmit-budget pressure) and
 // walks a deterministic ladder of (mode, batch) profiles, demoting toward
 // base under loss and promoting toward large batches on sustained clean
 // windows.
@@ -26,9 +26,7 @@
 // making the policy explainable post-hoc via `alpha_inspect --adapt`.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <optional>
 
 #include "core/config.hpp"
@@ -43,7 +41,7 @@ enum class AdaptReason : std::uint8_t {
   kDemoteLoss = 2,     // retransmit/loss pressure: shrink toward base
   kDemoteHealth = 3,   // health watchdog left kOk
   kDemoteBudget = 4,   // in-flight round burning most of its retry budget
-  kDemoteLatency = 5,  // p99 delivery latency blew past the target
+  // 5 was a latency demotion; recorded traces keep their reason values.
   kPromoteFlush = 6,   // healed channel + queued backlog: snap back now
 };
 
@@ -51,10 +49,7 @@ const char* to_string(AdaptReason reason) noexcept;
 
 /// One observation window of per-association signals. Counter fields are
 /// deltas since the previous observe() call (the caller keeps the previous
-/// totals); state fields are live values at observation time. Latency
-/// quantiles come from span histograms and are NaN while no round has
-/// completed -- exactly the metrics::Histogram::quantile sentinel -- and
-/// the policy treats NaN as "no evidence", never as a number.
+/// totals); state fields are live values at observation time.
 struct AdaptSignals {
   // Send/retransmit deltas from SignerStats (+ handshake retransmits).
   std::uint64_t s1_sent = 0;
@@ -68,9 +63,6 @@ struct AdaptSignals {
   std::uint32_t round_retries = 0;    // in-flight round attempts so far
   int max_retries = 0;                // current budget (pressure denominator)
   std::uint8_t health = 0;            // trace::HealthState value
-  // Span-derived delivery latency in microseconds (NaN = no samples).
-  double p50_delivery_us = std::numeric_limits<double>::quiet_NaN();
-  double p99_delivery_us = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// One rung of the profile ladder.
@@ -112,9 +104,6 @@ class AdaptiveController {
     int cooldown = 2;
     /// round_retries / max_retries above which the budget demotes.
     double budget_demote = 0.75;
-    /// p99 delivery latency (us) above which the controller demotes;
-    /// 0 disables the latency gate.
-    double latency_target_us = 0;
     /// Highest ladder rung the controller may promote to (clamped to the
     /// ladder size). Lets small-MTU deployments fence off huge batches.
     std::size_t max_profile = 64;

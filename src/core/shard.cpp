@@ -303,22 +303,6 @@ void NodeShard::maybe_adapt(AssocEntry& entry, std::uint64_t now_us) {
   entry.health->observe(health_scratch_, now_us);
   sig.health = static_cast<std::uint8_t>(entry.health->state());
 
-  // Span-derived delivery latency: ingest whatever the owning thread's
-  // trace ring recorded since the last window (read-only cursor; in the
-  // inline drive all shards read the same ring, but the histograms are
-  // per-assoc so each controller only sees its own association).
-  if (const trace::Ring* ring = trace::sink()) {
-    adapt_spans_.ingest_new(*ring);
-  }
-  char label[32];
-  std::snprintf(label, sizeof(label), "assoc=\"%u\"", entry.assoc_id);
-  const metrics::Histogram& latency =
-      adapt_registry_.histogram("alpha_span_delivery_latency_us", label);
-  if (latency.count() > 0) {
-    sig.p50_delivery_us = latency.quantile(0.5);
-    sig.p99_delivery_us = latency.quantile(0.99);
-  }
-
   if (const auto decision = entry.controller->observe(sig, now_us)) {
     host.request_reconfig(decision->target, now_us);
   }

@@ -31,8 +31,6 @@
 #include "crypto/random.hpp"
 #include "net/transport.hpp"
 #include "trace/health.hpp"
-#include "trace/metrics.hpp"
-#include "trace/spans.hpp"
 
 namespace alpha::core {
 
@@ -121,9 +119,8 @@ class NodeShard {
     /// Origin id stamped on trace events emitted while this shard runs.
     std::uint8_t trace_origin = 0;
     /// Enables the closed adaptivity loop: every *initiator* host gets an
-    /// AdaptiveController fed from live telemetry (signer-stat deltas, a
-    /// per-association health watchdog, span-derived delivery-latency
-    /// quantiles when tracing is on); decisions are staged through
+    /// AdaptiveController fed from live telemetry (signer-stat deltas and a
+    /// per-association health watchdog); decisions are staged through
     /// Host::request_reconfig and land at the next rekey boundary.
     std::optional<AdaptiveController::Options> adaptive;
   };
@@ -283,13 +280,6 @@ class NodeShard {
   TimerWheel wheel_;
   std::vector<std::uint32_t> due_;  // scratch for wheel advance
 
-  // Adaptivity telemetry runtime: the span builder incrementally ingests
-  // the owning thread's trace ring (cursor-based, read-only) and exports
-  // per-assoc delivery-latency histograms into the registry the
-  // controllers read. With tracing off the latency inputs stay NaN ("no
-  // evidence") and the loop runs on loss/health/budget signals alone.
-  metrics::Registry adapt_registry_;
-  trace::SpanBuilder adapt_spans_{&adapt_registry_};
   std::vector<trace::AssocHealthSample> health_scratch_;
 
   // Shard-local counters (per-assoc ones live in the entries). Plain
