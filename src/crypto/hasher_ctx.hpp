@@ -4,9 +4,7 @@
 // streaming use, but ALPHA's per-packet work is a storm of tiny one-shot
 // hashes where that allocation dominates. HasherCtx holds the concrete
 // hasher in a std::variant on the stack, so one-shot and hot-loop callers
-// never touch the heap. The one-shot helpers in hash.hpp use it internally;
-// tls_hasher() hands out a per-thread reusable context for streaming
-// callers that want to avoid even the (cheap) variant construction.
+// never touch the heap. The one-shot helpers in hash.hpp use it internally.
 #pragma once
 
 #include <variant>
@@ -48,11 +46,5 @@ class HasherCtx {
  private:
   std::variant<Sha1, Sha256, MmoHash> impl_;
 };
-
-/// Reusable per-thread context for `algo`, already reset(). Not reentrant:
-/// do not hold the reference across a call that may itself hash with the
-/// same algorithm (the one-shot helpers use their own stack contexts, so
-/// calling hash()/hash2()/hash3() is safe).
-HasherCtx& tls_hasher(HashAlgo algo);
 
 }  // namespace alpha::crypto

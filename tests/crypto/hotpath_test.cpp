@@ -9,7 +9,6 @@
 #include "crypto/counter.hpp"
 #include "crypto/cpu.hpp"
 #include "crypto/hash.hpp"
-#include "crypto/hasher_ctx.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/random.hpp"
 
@@ -67,19 +66,6 @@ TEST(HotPath, HardwareAndScalarBackendsAgree) {
       }
       EXPECT_EQ(accelerated, scalar) << to_string(algo) << " n=" << n;
     }
-  }
-}
-
-TEST(HotPath, TlsHasherMatchesOneShot) {
-  for (const auto algo : kAlgos) {
-    const Bytes data = pattern_bytes(300, 29);
-    HasherCtx& ctx = tls_hasher(algo);
-    ctx.update(data);
-    EXPECT_EQ(ctx.finalize(), hash(algo, data));
-    // Handed out reset: immediately reusable.
-    HasherCtx& again = tls_hasher(algo);
-    again.update(data);
-    EXPECT_EQ(again.finalize(), hash(algo, data));
   }
 }
 
