@@ -1,18 +1,12 @@
-// One round's commitments (paper §3.2-3.3, Figs. 2, 3 and 7).
-//
-// Every party that checks ALPHA traffic applies one rule. An S1 commits its
-// round to one MAC per message (base, ALPHA-C) or to one keyed Merkle root
-// per group of messages (ALPHA-C+M); ALPHA-M is the case with one group. An
-// A1 commits to one pre-ack/pre-nack pair per message or to one keyed AMT
-// root. Tables 2 and 3 count exactly those commitments.
-//
-// SignatureCommitment and AckCommitment state that rule once, for the
-// verifier (S2 check), the signer (A2 check) and RelayPipeline (both);
-// AckSecrets is the verifier's side of the A1. The ALPHA-M-as-one-group
-// mapping lives only in SignatureCommitment::assign() and write().
-// Hash-operation accounting and drop reasons stay with the callers.
-// RelayEngine (core/relay.hpp) keeps its own copy of the rule on purpose: it
-// is the independent reference the equivalence suites compare against.
+// One round's commitments (paper §3.2-3.3, Figs. 2, 3 and 7), stated once
+// for the verifier (S2 check), the signer (A2 check) and RelayPipeline
+// (both). An S1 commits to one MAC per message (base, ALPHA-C) or to one
+// keyed Merkle root per group of messages (ALPHA-C+M; ALPHA-M is the case
+// with one group, mapped in SignatureCommitment::assign() and write()). An
+// A1 commits to a pre-ack/pre-nack pair per message or to one keyed AMT
+// root; AckSecrets is the verifier's side of it. Tables 2 and 3 count
+// exactly these. Hash accounting and drop reasons stay with the callers.
+// RelayEngine (core/relay.hpp) keeps its own copy as the test reference.
 #pragma once
 
 #include <cstdint>

@@ -20,7 +20,7 @@
 //    zero-copy view parser that never touches the heap, and verified
 //    against per-round memoized state: the first S2 of a round pays the
 //    chain walk and the HMAC key schedule (ipad/opad midstates), every
-//    later one re-uses both;
+//    later one re-uses both (core/commitment.hpp, shared with endpoints);
 //  * surviving frames are emitted as ONE forward_batch callback per flush,
 //    in arrival order, which is what lets the transport layer push them
 //    with a single sendmmsg.

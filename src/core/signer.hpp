@@ -4,7 +4,8 @@
 // queues application messages, opens signature rounds (S1 with fresh chain
 // element + pre-signatures), releases payloads on A1 (S2 with key
 // disclosure), and, in reliable mode, matches A2 (n)acks against the
-// pre-(n)ack commitments from the A1 (§3.2.2) or the AMT root (§3.3.3).
+// pre-(n)ack commitments from the A1 (§3.2.2) or the AMT root (§3.3.3),
+// both held and checked by core/commitment.hpp.
 //
 // Transport-agnostic and clockless: packets leave through the send callback,
 // time enters through the `now_us` arguments. Retransmission of S1 (and S2

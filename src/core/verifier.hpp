@@ -5,7 +5,7 @@
 // pre-signatures, answers with A1 (committing pre-(n)acks or an AMT root in
 // reliable mode), verifies each S2 against the buffered commitment once the
 // MAC key is disclosed, delivers valid payloads to the application, and
-// discloses (n)acks in A2 packets.
+// discloses (n)acks in A2 packets. Commitments are core/commitment.hpp's.
 //
 // Duplicate S1/S2 packets (retransmissions) are answered idempotently from
 // cached frames, so a lossy network converges without protocol state drift.
