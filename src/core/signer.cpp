@@ -442,14 +442,9 @@ std::size_t SignerEngine::buffered_bytes() const noexcept {
   const std::size_t h = config_.digest_size();
   std::size_t total = 0;
   for (const auto& m : round.messages) total += m.payload.size();
-  if (round.sig.uses_trees()) {
-    // The signer keeps the trees to emit {Bc} per S2: (2w - 1) nodes each.
-    for (const auto& tree : round.trees) {
-      total += (2 * tree.width() - 1) * h;
-    }
-  } else {
-    total += round.sig.buffered_bytes(h);
-  }
+  // The signer keeps the trees to emit {Bc} per S2: (2w - 1) nodes each.
+  for (const auto& tree : round.trees) total += (2 * tree.width() - 1) * h;
+  if (round.trees.empty()) total += round.sig.buffered_bytes(h);  // MACs
   return total;
 }
 
