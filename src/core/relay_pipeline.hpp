@@ -113,16 +113,16 @@ class RelayPipeline {
   /// keep their capacity when a round slot is reassigned to a new seq, so
   /// steady-state round turnover does not allocate.
   struct Round {
+    // What an S2 reads comes first, so it shares cache lines.
     bool used = false;
+    bool a1_seen = false;
     std::uint32_t seq = 0;
     std::size_t s1_index = 0;
+    std::optional<crypto::Digest> disclosed;  // accepted MAC key
     SignatureCommitment sig;  // memoizes the MAC key schedule too
-    bool a1_seen = false;
 
     std::size_t a1_ack_index = 0;
     AckCommitment acks;
-
-    std::optional<crypto::Digest> disclosed;      // accepted MAC key
     std::optional<crypto::Digest> ack_disclosed;  // accepted A2 key
 
     void reset(std::uint32_t new_seq) noexcept;
