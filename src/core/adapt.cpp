@@ -285,7 +285,15 @@ std::optional<AdaptDecision> AdaptiveController::observe(
   }
 
   emit_decision(reason, index_, target, health);
-  acc_ = AdaptSignals{};  // next window accumulates fresh deltas
+  // A window too small to read stays open, for up to min_window_sends
+  // evaluations, so sparse traffic still yields evidence. One holding only
+  // retransmissions is an outage's spray, dropped (the partition freeze).
+  const bool carry = !had_traffic && acc_.s1_sent + acc_.s2_sent > 0 &&
+                     ++window_intervals_ < options_.min_window_sends;
+  if (!carry) {
+    acc_ = AdaptSignals{};  // next window accumulates fresh deltas
+    window_intervals_ = 0;
+  }
   if (cooldown_left_ > 0) --cooldown_left_;
 
   if (target == index_) return std::nullopt;

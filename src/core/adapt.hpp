@@ -124,6 +124,8 @@ class AdaptiveController {
     /// spray (no initial sends) reads as ~100% instantaneous loss no matter
     /// how healthy the channel is; tiny windows are noise, not signal, so
     /// they neither update the EWMA nor count toward promotion patience.
+    /// A tiny window with initial sends stays open instead, for up to this
+    /// many evaluations, so sparse traffic still accumulates evidence.
     std::uint64_t min_window_sends = 8;
     /// Minimum virtual time since the last pressure signal (any demote-worthy
     /// window, or any committed switch) before a clean-window promotion is
@@ -194,7 +196,8 @@ class AdaptiveController {
   std::uint64_t last_eval_us_ = 0;
   std::uint64_t evaluations_ = 0;
   std::uint64_t switches_ = 0;
-  AdaptSignals acc_{};  // deltas accumulated since the last evaluation
+  AdaptSignals acc_{};  // deltas of the open observation window
+  std::uint64_t window_intervals_ = 0;  // evaluations it has stayed open
 };
 
 }  // namespace alpha::core
